@@ -44,12 +44,6 @@ for u, v in [(0, 1), (0, 3), (0, 7)]:
     spectral = biharmonic_spectral(cache, u, v)
     print(f"  {u:03b} -> {v:03b}: closed {closed:.12f}  spectral {spectral:.12f}")
 
-# The unnormalized variant keeps the parity vectors at their raw norm; on the
-# 1-cube it reads 1 where the true distance (the K_2 value) is sqrt(2)/2.
-print("\n1-cube sanity check:")
-print(f"  normalized   {hypercube_distance(1, 0, 1):.12f}   (= sqrt(2)/2, the K_2 value)")
-print(f"  unnormalized {hypercube_distance(1, 0, 1, normalized=False):.12f}")
-
 # --- complements -----------------------------------------------------------
 # The complement's spectrum is n - lambda on the same eigenvectors, so G's
 # eigendecomposition is enough -- even when G itself is disconnected.

@@ -2,8 +2,10 @@
 
 Six subcommands: gen, dist, matrix, index, verify, bounds. All numeric output
 uses 12 significant digits so identical inputs give byte-identical stdout.
-Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
-input errors (unreadable or malformed files, disconnected graphs, bad
+Exit codes: 0 on success, 1 when a verification check fails or a numerical
+defect stops the computation (an arithmetic error, a solver that does not
+converge, a matrix that should be positive definite and is not), 2 on usage
+or input errors (unreadable or malformed files, disconnected graphs, bad
 vertices or parameters).
 """
 
@@ -12,12 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import graphs, metrics, verification
 from .graphs import DisconnectedGraphError, EdgeListFormatError
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+from .verification import fmt
 
 
 def _flag(b: bool) -> str:
@@ -45,8 +46,7 @@ _METHODS = {
 
 def cmd_dist(args) -> int:
     g = graphs.read_edge_list(args.path)
-    if not graphs.is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
+    cache = metrics.SpectralCache(g)
     u, v = args.u, args.v
     for x in (u, v):
         if not 0 <= x < g.n:
@@ -57,27 +57,17 @@ def cmd_dist(args) -> int:
             "the determinant formula needs distinct vertices and is skipped",
             file=sys.stderr,
         )
-    if args.method == "all":
-        if u == v:
-            values = {"spectral": 0.0, "pinv": 0.0, "det": 0.0, "minnorm": 0.0}
-            spread = 0.0
-        else:
-            report = metrics.all_methods(g, u, v)
-            values = {
-                "spectral": report.spectral,
-                "pinv": report.pinv_entries,
-                "det": report.determinant,
-                "minnorm": report.min_norm,
-            }
-            spread = report.max_relative_spread
-        for name in ("spectral", "pinv", "det", "minnorm"):
-            print(f"{name} {_fmt(values[name])}")
-        print(f"spread {_fmt(spread)}")
+    if args.method != "all":
+        print(fmt(0.0 if u == v else _METHODS[args.method](cache, u, v)))
+        return 0
+    if u == v:
+        values, spread = (0.0,) * len(_METHODS), 0.0
     else:
-        if u == v:
-            print(_fmt(0.0))
-        else:
-            print(_fmt(_METHODS[args.method](g, u, v)))
+        report = metrics.all_methods(cache, u, v)
+        values, spread = report.values(), report.max_relative_spread
+    for name, value in zip(_METHODS, values):
+        print(f"{name} {fmt(value)}")
+    print(f"spread {fmt(spread)}")
     return 0
 
 
@@ -86,20 +76,20 @@ def cmd_matrix(args) -> int:
     dm = metrics.distance_matrix(g)
     print(",".join(f"v{i}" for i in range(g.n)))
     for row in dm:
-        print(",".join(_fmt(x) for x in row))
+        print(",".join(fmt(x) for x in row))
     return 0
 
 
 def cmd_index(args) -> int:
     g = graphs.read_edge_list(args.path)
-    cache = metrics.build_cache(g)
-    print(f"B {_fmt(metrics.biharmonic_index_spectral(cache))}")
-    print(f"Kf {_fmt(metrics.kirchhoff_index(cache))}")
+    cache = metrics.SpectralCache(g)
+    print(f"B {fmt(metrics.biharmonic_index_spectral(cache))}")
+    print(f"Kf {fmt(metrics.kirchhoff_index(cache))}")
     if g.n >= 2:
         brk = metrics.check_brk(cache)
-        print(f"BRK {_fmt(brk.rhs)}{' equality' if brk.equality else ''}")
+        print(f"BRK {fmt(brk.rhs)}{' equality' if brk.equality else ''}")
     floor = metrics.check_index_floor(cache)
-    print(f"floor {_fmt(floor.floor)}{' equality' if floor.equality else ''}")
+    print(f"floor {fmt(floor.floor)}{' equality' if floor.equality else ''}")
     return 0
 
 
@@ -114,9 +104,9 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     g = graphs.read_edge_list(args.path)
     r = metrics.bounds_report(g, args.u, args.v)
-    print(f"lower {_fmt(r.lower)}")
-    print(f"value {_fmt(r.value)}")
-    print(f"upper {_fmt(r.upper)}")
+    print(f"lower {fmt(r.lower)}")
+    print(f"value {fmt(r.value)}")
+    print(f"upper {fmt(r.upper)}")
     print(f"lower-attained {_flag(r.lower_attained)}")
     print(f"upper-attained {_flag(r.upper_attained)}")
     print(f"sigmaN {_index_set(r.sigma_n)} orthogonal {_flag(r.sigma_n_orthogonal)}")
@@ -178,6 +168,9 @@ def main(argv=None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (EdgeListFormatError, DisconnectedGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import CayleySpec, DisconnectedGraphError
 from .linalg import EigenDecomposition
-from .metrics import ZERO_EIGENVALUE_FACTOR
+from .metrics import has_spectral_gap
 
 GENERATING_TOLERANCE = 1e-9
 COMPLEMENT_TOLERANCE = 1e-9
@@ -46,17 +46,15 @@ def _to_bits(d: int, x) -> tuple[int, ...]:
     return bits
 
 
-def hypercube_distance(d: int, u, v, normalized: bool = True) -> float:
+def hypercube_distance(d: int, u, v) -> float:
     """Distance on the d-cube between vertices given as bit strings (str,
     index, or bit sequence).
 
     The squared distance is a sum over nonempty coordinate subsets I of
     |I|^(-2) * (1 - (-1)^(number of positions of I where u and v differ)),
     divided by 2^(d+1). The division normalizes the underlying parity
-    vectors to unit length; with ``normalized=False`` the sum is divided by
-    2 only, which leaves those vectors at squared norm 2^d and inflates the
-    result by 2^(d/2). That variant is exposed purely for comparison, e.g.
-    it returns 1 on the 1-cube where the true distance is sqrt(2)/2.
+    vectors to unit length; on the 1-cube the result is sqrt(2)/2, the K_2
+    value.
     """
     d = int(d)
     if d < 1:
@@ -69,8 +67,7 @@ def hypercube_distance(d: int, u, v, normalized: bool = True) -> float:
         if (mask & differ).bit_count() & 1:
             size = mask.bit_count()
             total += 2.0 / (size * size)
-    divisor = 2.0 ** (d + 1) if normalized else 2.0
-    return float(np.sqrt(total / divisor))
+    return float(np.sqrt(total / 2.0 ** (d + 1)))
 
 
 def _kernel_aligned_vectors(eig: EigenDecomposition) -> np.ndarray:
@@ -142,10 +139,9 @@ def cartesian_distance(
     w1 = eig1.eigenvalues.copy()
     w2 = eig2.eigenvalues.copy()
     n1, n2 = eig1.n, eig2.n
-    for w, n in ((w1, n1), (w2, n2)):
-        if n >= 2 and w[1] <= ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])):
-            raise DisconnectedGraphError("Cartesian factor is disconnected")
-        w[0] = 0.0
+    if not (has_spectral_gap(eig1) and has_spectral_gap(eig2)):
+        raise DisconnectedGraphError("Cartesian factor is disconnected")
+    w1[0] = w2[0] = 0.0
     u1, u2 = u_pair
     v1, v2 = v_pair
     for x, n in ((u1, n1), (u2, n2), (v1, n1), (v2, n2)):
@@ -213,15 +209,13 @@ def _to_element(spec: CayleySpec, x) -> int:
     return spec.element_index(tuple(int(c) for c in x))
 
 
-def cayley_distance(spec: CayleySpec, u, v, normalized: bool = True) -> float:
+def cayley_distance(spec: CayleySpec, u, v) -> float:
     """Distance on the Cayley graph of a finite abelian group, from characters.
 
     Nontrivial characters chi are the Laplacian eigenvectors, with eigenvalue
     |S| - alpha(chi); the squared distance is the sum over them of
     |chi(u) - chi(v)|^2 / (|S| - alpha(chi))^2, divided by the group order.
-    The division accounts for characters having squared norm N rather than 1;
-    ``normalized=False`` drops it, again only for comparison against the
-    unnormalized reading (matches hypercube_distance's flag).
+    The division accounts for characters having squared norm N rather than 1.
 
     Vertices may be given as residue tuples or as element indices.
     """
@@ -242,6 +236,4 @@ def cayley_distance(spec: CayleySpec, u, v, normalized: bool = True) -> float:
     for j in range(1, n):
         diff = abs(chars[j, ui] - chars[j, vi]) ** 2
         total += diff / (gaps[j] * gaps[j])
-    if normalized:
-        total = total / n
-    return float(np.sqrt(total))
+    return float(np.sqrt(total / n))

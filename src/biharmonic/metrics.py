@@ -53,19 +53,49 @@ TREE_COUNT_ROUNDING = 1e-6
 
 @dataclass
 class SpectralCache:
-    """Shared per-graph state: Laplacian, eigendecomposition, pseudoinverses.
+    """Lazy per-graph state of a connected graph, shared by every route and query.
 
-    pinv is the Moore-Penrose inverse of the Laplacian and pinv2 its square,
-    both assembled from the spectral sum with the kernel direction dropped.
-    Build once with build_cache and pass to any number of query operations;
-    nothing here is mutated after construction.
+    The graph is the only field; everything derived from it is a cached
+    property, computed on first use. pinv and pinv2 come from the spectral
+    sum with the kernel direction dropped. The determinant and minimum-norm
+    routes read only L^2, the tree count and the shifted Cholesky factor, so
+    they never run the eigensolver.
     """
 
     graph: Graph
-    laplacian: np.ndarray
-    eig: EigenDecomposition
-    pinv: np.ndarray
-    pinv2: np.ndarray
+
+    def __post_init__(self):
+        if not is_connected(self.graph):
+            raise DisconnectedGraphError("graph is disconnected")
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return self.graph.laplacian()
+
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        eig = eigendecompose(self.laplacian)
+        if not has_spectral_gap(eig):
+            # The graph passed the traversal test, so this is a solver defect.
+            raise np.linalg.LinAlgError(
+                f"connected graph without a spectral gap (lambda_2 = {float(eig.eigenvalues[1])!r})"
+            )
+        return eig
+
+    def _pinv_power(self, power: int) -> np.ndarray:
+        w = self.eig.eigenvalues
+        z = self.eig.eigenvectors
+        inv = np.zeros_like(w)
+        inv[1:] = 1.0 / w[1:]
+        return symmetrize((z * inv**power) @ z.T)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return self._pinv_power(1)
+
+    @cached_property
+    def pinv2(self) -> np.ndarray:
+        return self._pinv_power(2)
 
     @cached_property
     def laplacian_squared(self) -> np.ndarray:
@@ -81,31 +111,36 @@ class SpectralCache:
         return cholesky(self.laplacian + np.full((n, n), 1.0 / n))
 
 
-def build_cache(g: Graph) -> SpectralCache:
-    """Eigendecompose the Laplacian of g and assemble both pseudoinverses.
-
-    Raises DisconnectedGraphError when the second-smallest eigenvalue is
-    numerically zero, which certifies a disconnected graph.
-    """
-    lap = g.laplacian()
-    eig = eigendecompose(lap)
+def has_spectral_gap(eig: EigenDecomposition) -> bool:
+    """True when the second-smallest Laplacian eigenvalue is clearly nonzero,
+    which certifies a connected graph (a single vertex always is). A nan
+    eigenvalue gives False."""
     w = eig.eigenvalues
-    z = eig.eigenvectors
-    if g.n >= 2 and w[1] <= ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])):
-        raise DisconnectedGraphError(
-            "graph is disconnected (zero Laplacian eigenvalue with multiplicity > 1)"
-        )
-    inv = np.zeros_like(w)
-    inv[1:] = 1.0 / w[1:]
-    pinv = symmetrize((z * inv) @ z.T)
-    pinv2 = symmetrize((z * inv**2) @ z.T)
-    return SpectralCache(graph=g, laplacian=lap, eig=eig, pinv=pinv, pinv2=pinv2)
+    return eig.n < 2 or bool(w[1] > ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])))
+
+
+def build_cache(g: Graph) -> SpectralCache:
+    """The one-time O(n^3) step: the state of g with its eigendecomposition
+    and both pseudoinverses already computed, so that later reads are cheap.
+
+    Raises DisconnectedGraphError on a disconnected graph.
+    """
+    cache = SpectralCache(g)
+    _ = cache.pinv, cache.pinv2
+    return cache
 
 
 def _as_cache(graph_or_cache) -> SpectralCache:
+    """The given state, or a new lazy state of the given graph."""
     if isinstance(graph_or_cache, SpectralCache):
         return graph_or_cache
-    return build_cache(graph_or_cache)
+    return SpectralCache(graph_or_cache)
+
+
+def _cache_and_pair(graph_or_cache, u: int, v: int) -> tuple[SpectralCache, int, int]:
+    """The prologue of every pair query: the state and both checked vertices."""
+    cache = _as_cache(graph_or_cache)
+    return cache, _check_vertex(cache.graph.n, u), _check_vertex(cache.graph.n, v)
 
 
 def _check_vertex(n: int, u: int) -> int:
@@ -126,9 +161,7 @@ def _sqrt_clamped(radicand: float) -> float:
 def biharmonic_spectral(graph_or_cache, u: int, v: int) -> float:
     """Distance as the spectral sum over nonzero eigenvalues:
     sqrt(sum_k (z_k(u) - z_k(v))^2 / lambda_k^2)."""
-    cache = _as_cache(graph_or_cache)
-    u = _check_vertex(cache.graph.n, u)
-    v = _check_vertex(cache.graph.n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         return 0.0
     w = cache.eig.eigenvalues[1:]
@@ -139,9 +172,7 @@ def biharmonic_spectral(graph_or_cache, u: int, v: int) -> float:
 
 def biharmonic_pinv_entries(graph_or_cache, u: int, v: int) -> float:
     """Distance read off the entries of the squared pseudoinverse."""
-    cache = _as_cache(graph_or_cache)
-    u = _check_vertex(cache.graph.n, u)
-    v = _check_vertex(cache.graph.n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         return 0.0
     p2 = cache.pinv2
@@ -155,23 +186,11 @@ def biharmonic_determinant(graph_or_cache, u: int, v: int) -> float:
     This route never touches the eigendecomposition, so it is an independent
     check on the spectral ones. It requires distinct vertices.
     """
-    if isinstance(graph_or_cache, SpectralCache):
-        g = graph_or_cache.graph
-        lap2 = graph_or_cache.laplacian_squared
-        tau = graph_or_cache.tree_count_raw
-    else:
-        g = graph_or_cache
-        if not is_connected(g):
-            raise DisconnectedGraphError("graph is disconnected")
-        lap = g.laplacian()
-        lap2 = symmetrize(lap @ lap)
-        tau = principal_minor_det(lap, (0,))
-    u = _check_vertex(g.n, u)
-    v = _check_vertex(g.n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         raise ValueError("the determinant formula requires distinct vertices")
-    minor = principal_minor_det(lap2, (u, v))
-    return _sqrt_clamped(minor) / (np.sqrt(g.n) * tau)
+    minor = principal_minor_det(cache.laplacian_squared, (u, v))
+    return _sqrt_clamped(minor) / (np.sqrt(cache.graph.n) * cache.tree_count_raw)
 
 
 def biharmonic_minnorm(graph_or_cache, u: int, v: int) -> float:
@@ -183,23 +202,13 @@ def biharmonic_minnorm(graph_or_cache, u: int, v: int) -> float:
     the arithmetic goes through an ordinary Cholesky solve instead of any
     pseudoinverse machinery.
     """
-    if isinstance(graph_or_cache, SpectralCache):
-        g = graph_or_cache.graph
-        low = graph_or_cache.shifted_cholesky
-    else:
-        g = graph_or_cache
-        if not is_connected(g):
-            raise DisconnectedGraphError("graph is disconnected")
-        n = g.n
-        low = cholesky(g.laplacian() + np.full((n, n), 1.0 / n))
-    u = _check_vertex(g.n, u)
-    v = _check_vertex(g.n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         return 0.0
-    b = np.zeros(g.n)
+    b = np.zeros(cache.graph.n)
     b[u] = 1.0
     b[v] = -1.0
-    x = cholesky_solve(low, b)
+    x = cholesky_solve(cache.shifted_cholesky, b)
     return float(np.sqrt(x @ x))
 
 
@@ -220,9 +229,7 @@ class MethodReport:
 
 def all_methods(graph_or_cache, u: int, v: int) -> MethodReport:
     """Run all four distance characterizations on one pair of distinct vertices."""
-    cache = _as_cache(graph_or_cache)
-    u = _check_vertex(cache.graph.n, u)
-    v = _check_vertex(cache.graph.n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         raise ValueError("cross-method comparison requires distinct vertices")
     values = (
@@ -299,9 +306,7 @@ def kirchhoff_index(graph_or_cache) -> float:
 
 def resistance_distance(graph_or_cache, u: int, v: int) -> float:
     """Effective resistance between u and v from pseudoinverse entries."""
-    cache = _as_cache(graph_or_cache)
-    u = _check_vertex(cache.graph.n, u)
-    v = _check_vertex(cache.graph.n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         return 0.0
     p = cache.pinv
@@ -354,10 +359,7 @@ class BoundsReport:
 
 
 def bounds_report(graph_or_cache, u: int, v: int) -> BoundsReport:
-    cache = _as_cache(graph_or_cache)
-    n = cache.graph.n
-    u = _check_vertex(n, u)
-    v = _check_vertex(n, v)
+    cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         raise ValueError("bounds require distinct vertices")
     w = cache.eig.eigenvalues
@@ -428,16 +430,14 @@ def check_index_floor(graph_or_cache) -> IndexFloorReport:
 
 def check_edge_monotonicity(g: Graph, e: tuple[int, int]) -> tuple[float, float]:
     """Return (B(g), B(g+e)) for a nonedge e and check the drop is strict."""
-    u, v = e
-    u = _check_vertex(g.n, u)
-    v = _check_vertex(g.n, v)
+    cache, u, v = _cache_and_pair(g, *e)
     if u == v:
         raise ValueError("an edge needs distinct endpoints")
     if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is already an edge")
-    before = biharmonic_index_spectral(build_cache(g))
+    before = biharmonic_index_spectral(cache)
     augmented = make_graph(g.n, set(g.edges) | {(min(u, v), max(u, v))})
-    after = biharmonic_index_spectral(build_cache(augmented))
+    after = biharmonic_index_spectral(augmented)
     if not after < before:
         raise ArithmeticError(
             f"adding edge ({u}, {v}) failed to decrease the index: {before!r} -> {after!r}"

@@ -33,8 +33,17 @@ class CheckResult:
     detail: str
 
 
-def _fmt(x: float) -> str:
+def fmt(x) -> str:
+    """The one number format of every report and CLI line: 12 significant digits."""
     return f"{float(x):.12g}"
+
+
+def _worst(values, reduce=max, start: float = 0.0) -> float:
+    """Reduce (max or min) over start and values, failing closed: nan as soon
+    as any value is nan or inf. A plain max(worst, nan) keeps worst, which
+    would let a nan defect read as a pass."""
+    values = [start, *values]
+    return reduce(values) if np.all(np.isfinite(values[1:])) else float("nan")
 
 
 def count_spanning_trees_exhaustive(g: graphs.Graph) -> int:
@@ -50,8 +59,7 @@ def count_spanning_trees_exhaustive(g: graphs.Graph) -> int:
 
 def _check_connectivity(g: graphs.Graph, cache: metrics.SpectralCache) -> CheckResult:
     traversal = graphs.is_connected(g)
-    w = cache.eig.eigenvalues
-    spectral = g.n < 2 or w[1] > metrics.ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1]))
+    spectral = metrics.has_spectral_gap(cache.eig)
     return CheckResult(
         name="connectivity-certificate",
         passed=traversal and spectral,
@@ -60,14 +68,12 @@ def _check_connectivity(g: graphs.Graph, cache: metrics.SpectralCache) -> CheckR
 
 
 def _check_methods(cache: metrics.SpectralCache) -> CheckResult:
-    worst = 0.0
-    for u, v in itertools.combinations(range(cache.graph.n), 2):
-        report = metrics.all_methods(cache, u, v)
-        worst = max(worst, report.max_relative_spread)
+    pairs = itertools.combinations(range(cache.graph.n), 2)
+    worst = _worst(metrics.all_methods(cache, u, v).max_relative_spread for u, v in pairs)
     return CheckResult(
         name="four-method-agreement",
         passed=worst <= SPREAD_TOLERANCE,
-        detail=f"max relative spread {_fmt(worst)}",
+        detail=f"max relative spread {fmt(worst)}",
     )
 
 
@@ -88,22 +94,20 @@ def _check_metric_axioms(cache: metrics.SpectralCache) -> CheckResult:
         passed=passed,
         detail=(
             f"nonnegative={str(nonnegative).lower()} nullity={str(null_diagonal and positive_off).lower()} "
-            f"symmetric={str(symmetric).lower()} triangle defect {_fmt(violation)}"
+            f"symmetric={str(symmetric).lower()} triangle defect {fmt(violation)}"
         ),
     )
 
 
 def _check_bounds(cache: metrics.SpectralCache) -> CheckResult:
-    worst = 0.0
-    consistent = True
-    for u, v in itertools.combinations(range(cache.graph.n), 2):
-        r = metrics.bounds_report(cache, u, v)
-        worst = max(worst, r.lower - r.value, r.value - r.upper)
-        consistent = consistent and r.consistent
+    pairs = itertools.combinations(range(cache.graph.n), 2)
+    reports = [metrics.bounds_report(cache, u, v) for u, v in pairs]
+    worst = _worst(x for r in reports for x in (r.lower - r.value, r.value - r.upper))
+    consistent = all(r.consistent for r in reports)
     return CheckResult(
         name="spectral-bounds",
         passed=worst <= BOUND_SLACK and consistent,
-        detail=f"worst bound defect {_fmt(worst)} attainment consistent {str(consistent).lower()}",
+        detail=f"worst bound defect {fmt(worst)} attainment consistent {str(consistent).lower()}",
     )
 
 
@@ -115,7 +119,7 @@ def _check_index_consistency(cache: metrics.SpectralCache) -> CheckResult:
     return CheckResult(
         name="index-consistency",
         passed=ok,
-        detail=f"spectral {_fmt(spectral)} pairwise {_fmt(pairwise)}",
+        detail=f"spectral {fmt(spectral)} pairwise {fmt(pairwise)}",
     )
 
 
@@ -131,7 +135,7 @@ def _check_brk(cache: metrics.SpectralCache) -> CheckResult:
     return CheckResult(
         name="index-inequality",
         passed=flag_ok,
-        detail=f"B {_fmt(r.b)} >= {_fmt(r.rhs)} equality={str(r.equality).lower()}",
+        detail=f"B {fmt(r.b)} >= {fmt(r.rhs)} equality={str(r.equality).lower()}",
     )
 
 
@@ -145,7 +149,7 @@ def _check_floor(cache: metrics.SpectralCache) -> CheckResult:
     return CheckResult(
         name="index-floor",
         passed=flag_ok,
-        detail=f"B {_fmt(r.b)} >= {_fmt(r.floor)} equality={str(r.equality).lower()}",
+        detail=f"B {fmt(r.b)} >= {fmt(r.floor)} equality={str(r.equality).lower()}",
     )
 
 
@@ -153,30 +157,25 @@ def _check_monotonicity(g: graphs.Graph) -> CheckResult:
     nonedges = g.nonedges()[:MONOTONICITY_SAMPLE_CAP]
     if not nonedges:
         return CheckResult("edge-monotonicity", True, "no nonedges to add")
-    margin = np.inf
     try:
-        for e in nonedges:
-            before, after = metrics.check_edge_monotonicity(g, e)
-            margin = min(margin, before - after)
+        indices = [metrics.check_edge_monotonicity(g, e) for e in nonedges]
     except ArithmeticError as exc:
         return CheckResult("edge-monotonicity", False, str(exc))
+    margin = _worst((before - after for before, after in indices), reduce=min, start=np.inf)
     return CheckResult(
         name="edge-monotonicity",
         passed=margin > MONOTONICITY_MARGIN,
-        detail=f"{len(nonedges)} additions, min index drop {_fmt(margin)}",
+        detail=f"{len(nonedges)} additions, min index drop {fmt(margin)}",
     )
 
 
 def _check_matrix_tree(g: graphs.Graph, cache: metrics.SpectralCache) -> CheckResult:
     tau = metrics.spanning_tree_count(g)
     expected = g.n * tau * tau
-    lap2 = cache.laplacian_squared
-    worst = 0.0
-    for v in range(g.n):
-        minor = linalg.principal_minor_det(lap2, (v,))
-        worst = max(worst, abs(minor - expected) / expected)
+    minors = (linalg.principal_minor_det(cache.laplacian_squared, (v,)) for v in range(g.n))
+    worst = _worst(abs(minor - expected) / expected for minor in minors)
     ok = worst <= MATRIX_TREE_RELATIVE
-    detail = f"tau {_fmt(tau)} worst relative defect {_fmt(worst)}"
+    detail = f"tau {fmt(tau)} worst relative defect {fmt(worst)}"
     if g.n <= 7:
         exhaustive = count_spanning_trees_exhaustive(g)
         ok = ok and exhaustive == tau
@@ -191,11 +190,11 @@ def _check_pinv_identities(cache: metrics.SpectralCache) -> CheckResult:
     reproduce = float(np.max(np.abs(lap @ p @ lap - lap)))
     square = float(np.max(np.abs(p @ p - p2)))
     rows = float(max(np.max(np.abs(p.sum(axis=1))), np.max(np.abs(p2.sum(axis=1)))))
-    worst = max(reproduce, square, rows)
+    worst = _worst((reproduce, square, rows))
     return CheckResult(
         name="pseudoinverse-identities",
         passed=worst <= PINV_IDENTITY,
-        detail=f"LpL defect {_fmt(reproduce)} square defect {_fmt(square)} row sums {_fmt(rows)}",
+        detail=f"LpL defect {fmt(reproduce)} square defect {fmt(square)} row sums {fmt(rows)}",
     )
 
 
@@ -210,18 +209,19 @@ def _recognize_family(g: graphs.Graph):
 
 def _check_closed_form(cache: metrics.SpectralCache, family) -> CheckResult:
     kind, param = family
-    worst = 0.0
+    deviations = []
     for u, v in itertools.combinations(range(cache.graph.n), 2):
         spectral = metrics.biharmonic_spectral(cache, u, v)
         if kind == "complete":
             closed = closed_forms.complete_graph_distance(param)
         else:
             closed = closed_forms.hypercube_distance(param, u, v)
-        worst = max(worst, abs(spectral - closed))
+        deviations.append(abs(spectral - closed))
+    worst = _worst(deviations)
     return CheckResult(
         name="closed-form-vs-spectral",
         passed=worst <= CLOSED_FORM_TOLERANCE,
-        detail=f"{kind} family, max deviation {_fmt(worst)}",
+        detail=f"{kind} family, max deviation {fmt(worst)}",
     )
 
 

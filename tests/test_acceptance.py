@@ -220,10 +220,9 @@ def test_criterion_09_closed_forms(random_suite, random_suite_caches):
             for u, v in itertools.combinations(range(n), 2):
                 assert abs(cayley_distance(spec, u, v) - dm[u, v]) <= 1e-9
 
-        assert hypercube_distance(1, 0, 1, normalized=False) == 1.0
-        corrected = hypercube_distance(1, 0, 1)
-        assert abs(corrected - SQRT2 / 2.0) <= 1e-12
-        assert abs(corrected - complete_graph_distance(2)) <= 1e-12
+        one_cube = hypercube_distance(1, 0, 1)
+        assert abs(one_cube - SQRT2 / 2.0) <= 1e-12
+        assert abs(one_cube - complete_graph_distance(2)) <= 1e-12
 
 
 def test_criterion_10_metric_axioms(random_suite_caches):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import biharmonic.linalg
 import biharmonic.metrics
 from biharmonic import (
     complete_graph,
@@ -163,6 +165,48 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         _, err = capsys.readouterr()
         assert "disconnected" in err
+
+    def test_infinite_route_exit_one(self, graph_file, capsys, monkeypatch):
+        monkeypatch.setattr(
+            biharmonic.metrics, "biharmonic_determinant", lambda cache, u, v: float("inf")
+        )
+        path = graph_file("k4.g", complete_graph(4))
+        assert main(["verify", path]) == 1
+        out, _ = capsys.readouterr()
+        assert "FAIL four-method-agreement: max relative spread nan" in out
+
+
+class TestNumericalDefects:
+    def assert_exit_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_arithmetic_error(self, graph_file, capsys, monkeypatch):
+        def defect(cache):
+            raise ArithmeticError("negative squared distance -1.0")
+
+        monkeypatch.setattr(biharmonic.metrics, "distance_matrix", defect)
+        path = graph_file("p3.g", path_graph(3))
+        self.assert_exit_one(capsys, ["matrix", path], "negative squared distance -1.0")
+
+    def test_eigensolver_failure(self, graph_file, capsys, monkeypatch):
+        def defect(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Jacobi iteration did not converge")
+
+        monkeypatch.setattr(biharmonic.linalg, "jacobi_eigh", defect)
+        path = graph_file("p3.g", path_graph(3))
+        self.assert_exit_one(capsys, ["index", path], "Jacobi iteration did not converge")
+
+    def test_cholesky_failure(self, graph_file, capsys, monkeypatch):
+        def defect(a):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        monkeypatch.setattr(biharmonic.metrics, "cholesky", defect)
+        path = graph_file("p3.g", path_graph(3))
+        argv = ["dist", path, "0", "2", "--method", "minnorm"]
+        self.assert_exit_one(capsys, argv, "matrix is not positive definite")
 
 
 class TestBounds:

@@ -56,7 +56,6 @@ class TestCompleteGraph:
 class TestHypercube:
     def test_one_cube(self):
         assert abs(hypercube_distance(1, 0, 1) - SQRT2 / 2.0) <= 1e-15
-        assert hypercube_distance(1, 0, 1, normalized=False) == 1.0
 
     def test_two_cube(self):
         assert abs(hypercube_distance(2, 0, 3) - SQRT2 / 2.0) <= 1e-15
@@ -79,11 +78,6 @@ class TestHypercube:
         for w in range(8):
             for u, v in itertools.combinations(range(8), 2):
                 assert hypercube_distance(3, u, v) == hypercube_distance(3, u ^ w, v ^ w)
-
-    def test_unnormalized_scale(self):
-        norm = hypercube_distance(3, 0, 7)
-        raw = hypercube_distance(3, 0, 7, normalized=False)
-        assert abs(raw - norm * 2.0 * SQRT2) <= 1e-12
 
     def test_same_vertex(self):
         assert hypercube_distance(4, 5, 5) == 0.0
@@ -280,12 +274,6 @@ class TestCayleyDistance:
     def test_same_vertex(self):
         spec = z2_power_spec(2)
         assert cayley_distance(spec, 3, 3) == 0.0
-
-    def test_unnormalized_scale(self):
-        spec = CayleySpec(cyclic_orders=(6,), connection_set=((1,), (5,)))
-        norm = cayley_distance(spec, 0, 3)
-        raw = cayley_distance(spec, 0, 3, normalized=False)
-        assert abs(raw - norm * math.sqrt(6.0)) <= 1e-12
 
     def test_nongenerating_rejected(self):
         spec = CayleySpec(cyclic_orders=(6,), connection_set=((2,), (4,)))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import biharmonic.metrics
@@ -14,6 +16,7 @@ from biharmonic import (
     verify_graph,
     wheel_graph,
 )
+from biharmonic.verification import _worst
 
 BASE_CHECKS = [
     "connectivity-certificate",
@@ -85,5 +88,27 @@ class TestVerifyGraph:
         assert "999" in failing[0].detail
         assert not all_passed(results)
 
+    def test_infinite_route_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(
+            biharmonic.metrics, "biharmonic_determinant", lambda cache, u, v: float("inf")
+        )
+        results = verify_graph(complete_graph(4))
+        failing = [r for r in results if not r.passed]
+        assert [r.name for r in failing] == ["four-method-agreement"]
+        assert failing[0].detail == "max relative spread nan"
+
     def test_all_passed_empty(self):
         assert all_passed([])
+
+
+class TestWorst:
+    def test_finite_values_reduce_from_start(self):
+        assert _worst([]) == 0.0
+        assert _worst([-1.0, -2.0]) == 0.0
+        assert _worst([1e-3, 2e-3]) == 2e-3
+        assert _worst([0.5, 0.25], reduce=min, start=float("inf")) == 0.25
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_any_non_finite_value_gives_nan(self, bad):
+        assert math.isnan(_worst([1e-3, bad, 2e-3]))
+        assert math.isnan(_worst([bad, 0.5], reduce=min, start=float("inf")))
