@@ -139,7 +139,7 @@ def cartesian_distance(
     w1 = eig1.eigenvalues.copy()
     w2 = eig2.eigenvalues.copy()
     n1, n2 = eig1.n, eig2.n
-    if not (has_spectral_gap(eig1) and has_spectral_gap(eig2)):
+    if not (has_spectral_gap(w1) and has_spectral_gap(w2)):
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
     u1, u2 = u_pair

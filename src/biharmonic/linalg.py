@@ -2,10 +2,13 @@
 
 The eigensolver is a cyclic Jacobi iteration: simple, deterministic, and it
 produces orthonormal eigenvectors as a byproduct, which the spectral formulas
-downstream depend on. Linear systems go through an explicit Cholesky
-factorization and determinants through diagonally pivoted elimination. At the
-matrix sizes this package targets (tens of vertices) these small dense
-routines are fast and their rounding behavior is easy to reason about.
+downstream depend on. A caller that needs only the eigenvalues can have the
+same sweep skip the eigenvector rotations (``vectors=False``): the eigenvalues
+never read them, so they come out bit-identical for less work. Linear
+systems go through an explicit Cholesky factorization and determinants through
+diagonally pivoted elimination. At the matrix sizes this package targets (tens
+of vertices) these small dense routines are fast and their rounding behavior
+is easy to reason about.
 """
 
 from __future__ import annotations
@@ -37,21 +40,25 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(off * off)))
 
 
-def jacobi_eigh(a, tol: float = SWEEP_TOLERANCE, max_sweeps: int = MAX_SWEEPS):
+def jacobi_eigh(
+    a, tol: float = SWEEP_TOLERANCE, max_sweeps: int = MAX_SWEEPS, vectors: bool = True
+):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Row-major sweeps rotate away each off-diagonal entry in turn until the
     off-diagonal Frobenius norm falls below ``tol`` times the Frobenius norm
     of the input. Returns ``(w, v)`` with eigenvalues ``w`` ascending and the
     matching orthonormal eigenvectors as the columns of ``v``. Ties keep the
-    order in which the diagonal settled, so output is deterministic.
+    order in which the diagonal settled, so output is deterministic. With
+    ``vectors=False`` the rotations are not accumulated and ``v`` is None;
+    ``w`` is bit-identical to the one the full solve returns.
 
     Raises ``numpy.linalg.LinAlgError`` if the sweep cap is exhausted, which
     signals a defect rather than a property of the input.
     """
     n = _check_square(np.asarray(a, dtype=float))
     a = symmetrize(a)
-    v = np.eye(n)
+    v = np.eye(n) if vectors else None
     norm = float(np.sqrt(np.sum(a * a)))
     stop = tol * norm
     if n > 1 and norm > 0.0:
@@ -85,10 +92,11 @@ def jacobi_eigh(a, tol: float = SWEEP_TOLERANCE, max_sweeps: int = MAX_SWEEPS):
                     a[q, q] = aqq + t * apq
                     a[p, q] = 0.0
                     a[q, p] = 0.0
-                    col_p = v[:, p].copy()
-                    col_q = v[:, q].copy()
-                    v[:, p] = c * col_p - s * col_q
-                    v[:, q] = s * col_p + c * col_q
+                    if v is not None:
+                        col_p = v[:, p].copy()
+                        col_q = v[:, q].copy()
+                        v[:, p] = c * col_p - s * col_q
+                        v[:, q] = s * col_p + c * col_q
         else:
             if _off_norm(a) > stop:
                 raise np.linalg.LinAlgError(
@@ -96,7 +104,7 @@ def jacobi_eigh(a, tol: float = SWEEP_TOLERANCE, max_sweeps: int = MAX_SWEEPS):
                 )
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], None if v is None else v[:, order]
 
 
 @dataclass(frozen=True)

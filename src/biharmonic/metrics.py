@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .graphs import DisconnectedGraphError, Graph, is_connected, make_graph
 from .linalg import (
     EigenDecomposition,
@@ -75,11 +76,7 @@ class SpectralCache:
     @cached_property
     def eig(self) -> EigenDecomposition:
         eig = eigendecompose(self.laplacian)
-        if not has_spectral_gap(eig):
-            # The graph passed the traversal test, so this is a solver defect.
-            raise np.linalg.LinAlgError(
-                f"connected graph without a spectral gap (lambda_2 = {float(eig.eigenvalues[1])!r})"
-            )
+        _require_spectral_gap(eig.eigenvalues)
         return eig
 
     def _pinv_power(self, power: int) -> np.ndarray:
@@ -111,12 +108,19 @@ class SpectralCache:
         return cholesky(self.laplacian + np.full((n, n), 1.0 / n))
 
 
-def has_spectral_gap(eig: EigenDecomposition) -> bool:
-    """True when the second-smallest Laplacian eigenvalue is clearly nonzero,
-    which certifies a connected graph (a single vertex always is). A nan
-    eigenvalue gives False."""
-    w = eig.eigenvalues
-    return eig.n < 2 or bool(w[1] > ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])))
+def has_spectral_gap(w: np.ndarray) -> bool:
+    """True when the second-smallest of the ascending Laplacian eigenvalues w
+    is clearly nonzero, which certifies a connected graph (a single vertex
+    always is). A nan eigenvalue gives False."""
+    return len(w) < 2 or bool(w[1] > ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])))
+
+
+def _require_spectral_gap(w: np.ndarray) -> None:
+    if not has_spectral_gap(w):
+        # Every state's graph passed the traversal test, so this is a solver defect.
+        raise np.linalg.LinAlgError(
+            f"connected graph without a spectral gap (lambda_2 = {float(w[1])!r})"
+        )
 
 
 def build_cache(g: Graph) -> SpectralCache:
@@ -278,23 +282,21 @@ def spanning_tree_count(g: Graph) -> float:
     return raw
 
 
+def _index_of_spectrum(w: np.ndarray) -> float:
+    """n times the sum of inverse squared nonzero eigenvalues, w ascending."""
+    return len(w) * float(np.sum(1.0 / w[1:] ** 2))
+
+
 def biharmonic_index_spectral(graph_or_cache) -> float:
     """Biharmonic index as n times the sum of inverse squared nonzero eigenvalues."""
-    cache = _as_cache(graph_or_cache)
-    w = cache.eig.eigenvalues[1:]
-    return cache.graph.n * float(np.sum(1.0 / w**2))
+    return _index_of_spectrum(_as_cache(graph_or_cache).eig.eigenvalues)
 
 
 def biharmonic_index_pairwise(graph_or_cache) -> float:
     """Biharmonic index as half the double sum of squared pairwise distances."""
-    cache = _as_cache(graph_or_cache)
-    n = cache.graph.n
-    p2 = cache.pinv2
-    total = 0.0
-    for u in range(n):
-        for v in range(n):
-            total += p2[u, u] + p2[v, v] - 2.0 * p2[u, v]
-    return 0.5 * total
+    p2 = _as_cache(graph_or_cache).pinv2
+    d = np.diag(p2)
+    return 0.5 * float(np.sum(d[:, None] + d[None, :] - 2.0 * p2))
 
 
 def kirchhoff_index(graph_or_cache) -> float:
@@ -428,16 +430,26 @@ def check_index_floor(graph_or_cache) -> IndexFloorReport:
     return IndexFloorReport(b=b, floor=floor, equality=abs(b - floor) <= EQUALITY_TOLERANCE)
 
 
-def check_edge_monotonicity(g: Graph, e: tuple[int, int]) -> tuple[float, float]:
-    """Return (B(g), B(g+e)) for a nonedge e and check the drop is strict."""
-    cache, u, v = _cache_and_pair(g, *e)
+def check_edge_monotonicity(graph_or_cache, e: tuple[int, int]) -> tuple[float, float]:
+    """Return (B(g), B(g+e)) for a nonedge e and check the drop is strict.
+
+    B(g) comes from the state's eigendecomposition, so a state reused over
+    many edges solves g once. B(g+e) needs no eigenvectors and comes from an
+    eigenvalues-only solve, bit-identical to the full one.
+    """
+    cache, u, v = _cache_and_pair(graph_or_cache, *e)
+    g = cache.graph
     if u == v:
         raise ValueError("an edge needs distinct endpoints")
     if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is already an edge")
     before = biharmonic_index_spectral(cache)
-    augmented = make_graph(g.n, set(g.edges) | {(min(u, v), max(u, v))})
-    after = biharmonic_index_spectral(augmented)
+    augmented = SpectralCache(make_graph(g.n, set(g.edges) | {(min(u, v), max(u, v))}))
+    # Called through the module, as eigendecompose calls it, so that one
+    # wrapper of linalg.jacobi_eigh sees every solve.
+    w, _ = linalg.jacobi_eigh(augmented.laplacian, vectors=False)
+    _require_spectral_gap(w)
+    after = _index_of_spectrum(w)
     if not after < before:
         raise ArithmeticError(
             f"adding edge ({u}, {v}) failed to decrease the index: {before!r} -> {after!r}"

@@ -59,7 +59,7 @@ def count_spanning_trees_exhaustive(g: graphs.Graph) -> int:
 
 def _check_connectivity(g: graphs.Graph, cache: metrics.SpectralCache) -> CheckResult:
     traversal = graphs.is_connected(g)
-    spectral = metrics.has_spectral_gap(cache.eig)
+    spectral = metrics.has_spectral_gap(cache.eig.eigenvalues)
     return CheckResult(
         name="connectivity-certificate",
         passed=traversal and spectral,
@@ -77,6 +77,19 @@ def _check_methods(cache: metrics.SpectralCache) -> CheckResult:
     )
 
 
+def _triangle_defect(dm: np.ndarray) -> float:
+    """Worst triple defect max over i, k of d(i,k) - min_j (d(i,j) + d(j,k)).
+
+    The inner minimum is taken one row i at a time, so memory stays O(n^2)
+    where the n^3 array of all sums would not; min and max are exact, so the
+    result does not depend on the blocking.
+    """
+    closest = np.empty_like(dm)
+    for i, row in enumerate(dm):
+        closest[i] = np.min(row[:, None] + dm, axis=0)
+    return float(np.max(dm - closest))
+
+
 def _check_metric_axioms(cache: metrics.SpectralCache) -> CheckResult:
     dm = metrics.distance_matrix(cache)
     n = cache.graph.n
@@ -84,9 +97,7 @@ def _check_metric_axioms(cache: metrics.SpectralCache) -> CheckResult:
     null_diagonal = bool(np.all(np.diag(dm) == 0.0))
     positive_off = n < 2 or bool(np.min(dm[~np.eye(n, dtype=bool)]) > 0.0)
     symmetric = bool(np.array_equal(dm, dm.T))
-    # worst triple defect: d(i,k) - min_j (d(i,j) + d(j,k))
-    sums = dm[:, :, None] + dm[None, :, :]
-    violation = float(np.max(dm - np.min(sums, axis=1)))
+    violation = _triangle_defect(dm)
     triangle = violation <= TRIANGLE_TOLERANCE
     passed = nonnegative and null_diagonal and positive_off and symmetric and triangle
     return CheckResult(
@@ -153,12 +164,12 @@ def _check_floor(cache: metrics.SpectralCache) -> CheckResult:
     )
 
 
-def _check_monotonicity(g: graphs.Graph) -> CheckResult:
-    nonedges = g.nonedges()[:MONOTONICITY_SAMPLE_CAP]
+def _check_monotonicity(cache: metrics.SpectralCache) -> CheckResult:
+    nonedges = cache.graph.nonedges()[:MONOTONICITY_SAMPLE_CAP]
     if not nonedges:
         return CheckResult("edge-monotonicity", True, "no nonedges to add")
     try:
-        indices = [metrics.check_edge_monotonicity(g, e) for e in nonedges]
+        indices = [metrics.check_edge_monotonicity(cache, e) for e in nonedges]
     except ArithmeticError as exc:
         return CheckResult("edge-monotonicity", False, str(exc))
     margin = _worst((before - after for before, after in indices), reduce=min, start=np.inf)
@@ -236,7 +247,7 @@ def verify_graph(g: graphs.Graph) -> list[CheckResult]:
         _check_index_consistency(cache),
         _check_brk(cache),
         _check_floor(cache),
-        _check_monotonicity(g),
+        _check_monotonicity(cache),
         _check_matrix_tree(g, cache),
         _check_pinv_identities(cache),
     ]

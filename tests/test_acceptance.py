@@ -48,6 +48,7 @@ from biharmonic import (
     write_edge_list,
 )
 from biharmonic.cli import main
+from biharmonic.verification import _worst
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,10 +83,11 @@ def test_criterion_02_complete_graph_law():
 
 def test_criterion_03_four_method_agreement(random_suite_caches):
     with criterion(3, "four-method relative spread <= 1e-8 on the 100-graph suite"):
-        worst = 0.0
-        for cache in random_suite_caches:
-            for u, v in itertools.combinations(range(cache.graph.n), 2):
-                worst = max(worst, all_methods(cache, u, v).max_relative_spread)
+        worst = _worst(
+            all_methods(cache, u, v).max_relative_spread
+            for cache in random_suite_caches
+            for u, v in itertools.combinations(range(cache.graph.n), 2)
+        )
         assert worst <= 1e-8
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from biharmonic import (
     jacobi_eigh,
     path_graph,
     principal_minor_det,
+    read_edge_list,
     spd_solve,
     symmetrize,
     wheel_graph,
@@ -71,6 +74,16 @@ class TestJacobi:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             jacobi_eigh(np.ones((2, 3)))
+
+    def test_eigenvalues_only_bit_identical(self, random_suite_caches):
+        golden = sorted((Path(__file__).parent / "golden").glob("*.g"))
+        laplacians = [read_edge_list(path).laplacian() for path in golden]
+        cases = [(lap, jacobi_eigh(lap)[0]) for lap in laplacians]
+        cases += [(c.laplacian, c.eig.eigenvalues) for c in random_suite_caches]
+        for lap, full in cases:
+            w, v = jacobi_eigh(lap, vectors=False)
+            assert v is None
+            assert np.array_equal(w, full)
 
     @settings(max_examples=30, deadline=None)
     @given(

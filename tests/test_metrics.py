@@ -204,6 +204,17 @@ class TestIndices:
             assert abs(biharmonic_index_spectral(cache) - (n - 1) / n) <= 1e-10
             assert abs(kirchhoff_index(cache) - (n - 1)) <= 1e-10
 
+    def test_pairwise_matches_double_loop(self, random_suite_caches):
+        for cache in random_suite_caches:
+            n, p2 = cache.graph.n, cache.pinv2
+            loop = 0.0
+            for u in range(n):
+                for v in range(n):
+                    loop += p2[u, u] + p2[v, v] - 2.0 * p2[u, v]
+            # The two sums add n^2 nonnegative terms in different orders.
+            tol = n * n * np.finfo(float).eps
+            assert math.isclose(biharmonic_index_pairwise(cache), 0.5 * loop, rel_tol=tol)
+
     def test_two_routes_agree(self, random_suite_caches):
         for cache in random_suite_caches:
             a = biharmonic_index_spectral(cache)
@@ -313,6 +324,12 @@ class TestEdgeMonotonicity:
     def test_loop_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             check_edge_monotonicity(path_graph(3), (1, 1))
+
+    def test_state_and_graph_agree(self):
+        for g in (path_graph(5), k4_minus(), wheel_graph(6)):
+            state = build_cache(g)
+            for e in g.nonedges():
+                assert check_edge_monotonicity(state, e) == check_edge_monotonicity(g, e)
 
     def test_random_nonedges_strictly_decrease(self, random_suite):
         checked = 0

@@ -28,12 +28,13 @@ from biharmonic.verification import MONOTONICITY_SAMPLE_CAP
 
 @pytest.fixture
 def jacobi_calls(monkeypatch):
-    """Count the calls of the eigensolver that every eigendecomposition goes through."""
+    """Record (shape, eigenvectors wanted) for each call of the eigensolver
+    that every eigendecomposition and eigenvalues-only solve goes through."""
     calls = []
     original = biharmonic.linalg.jacobi_eigh
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].shape, kwargs.get("vectors", True)))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(biharmonic.linalg, "jacobi_eigh", counted)
@@ -79,7 +80,8 @@ def test_distance_matrix_on_graph_solves_once(jacobi_calls):
 def test_verify_solve_count(jacobi_calls, g):
     verify_graph(g)
     additions = min(MONOTONICITY_SAMPLE_CAP, len(g.nonedges()))
-    assert len(jacobi_calls) == 1 + 2 * additions
+    assert len(jacobi_calls) == 1 + additions
+    assert [vectors for _, vectors in jacobi_calls].count(True) == 1
 
 
 def test_state_rejects_disconnected_graph(jacobi_calls):

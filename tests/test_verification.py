@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import biharmonic.metrics
@@ -9,6 +11,7 @@ from biharmonic import (
     complete_graph,
     count_spanning_trees_exhaustive,
     cycle_graph,
+    distance_matrix,
     hypercube_graph,
     k4_minus,
     make_graph,
@@ -16,7 +19,7 @@ from biharmonic import (
     verify_graph,
     wheel_graph,
 )
-from biharmonic.verification import _worst
+from biharmonic.verification import _triangle_defect, _worst
 
 BASE_CHECKS = [
     "connectivity-certificate",
@@ -112,3 +115,33 @@ class TestWorst:
     def test_any_non_finite_value_gives_nan(self, bad):
         assert math.isnan(_worst([1e-3, bad, 2e-3]))
         assert math.isnan(_worst([bad, 0.5], reduce=min, start=float("inf")))
+
+
+def cubic_triangle_defect(dm):
+    """The reference: every sum d(i,j) + d(j,k) held at once in an n^3 array."""
+    return float(np.max(dm - np.min(dm[:, :, None] + dm[None, :, :], axis=1)))
+
+
+class TestTriangleDefect:
+    def test_matches_cubic_formula(self, random_suite_caches):
+        rng = np.random.default_rng(41)
+        matrices = [distance_matrix(cache) for cache in random_suite_caches[:30]]
+        for n in (1, 2, 5, 17):
+            # symmetric with a zero diagonal, but no metric: defects above 0
+            a = rng.random((n, n))
+            matrices.append(np.triu(a, 1) + np.triu(a, 1).T)
+        for dm in matrices:
+            assert _triangle_defect(dm) == cubic_triangle_defect(dm)
+
+    def test_memory_is_quadratic(self):
+        n = 200
+        points = np.random.default_rng(43).random((n, 2))
+        dm = np.sqrt(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2))
+        tracemalloc.start()
+        try:
+            _triangle_defect(dm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few n x n arrays, where the n^3 array of sums alone is 64 MB
+        assert peak < 8 * n * n * 8
