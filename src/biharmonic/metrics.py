@@ -41,6 +41,7 @@ from .linalg import (
     cholesky_solve,
     eigendecompose,
     principal_minor_det,
+    principal_minor_slogdet,
     symmetrize,
 )
 
@@ -59,8 +60,8 @@ class SpectralCache:
     The graph is the only field; everything derived from it is a cached
     property, computed on first use. pinv and pinv2 come from the spectral
     sum with the kernel direction dropped. The determinant and minimum-norm
-    routes read only L^2, the tree count and the shifted Cholesky factor, so
-    they never run the eigensolver.
+    routes read only L^2, the log tree count and the shifted Cholesky factor,
+    so they never run the eigensolver.
     """
 
     graph: Graph
@@ -99,8 +100,11 @@ class SpectralCache:
         return symmetrize(self.laplacian @ self.laplacian)
 
     @cached_property
-    def tree_count_raw(self) -> float:
-        return principal_minor_det(self.laplacian, (0,))
+    def log_tree_count(self) -> float:
+        sign, logabs = principal_minor_slogdet(self.laplacian, (0,))
+        if sign <= 0.0:
+            raise ArithmeticError("nonpositive spanning-tree determinant of a connected graph")
+        return logabs
 
     @cached_property
     def shifted_cholesky(self) -> np.ndarray:
@@ -188,13 +192,19 @@ def biharmonic_determinant(graph_or_cache, u: int, v: int) -> float:
     sqrt(n) times the spanning-tree count.
 
     This route never touches the eigendecomposition, so it is an independent
-    check on the spectral ones. It requires distinct vertices.
+    check on the spectral ones. It requires distinct vertices. The ratio is
+    taken in the log domain, exp((log minor - log n) / 2 - log tau), because
+    the minor (about n tau^2) overflows a double long before the distance
+    stops being an ordinary number.
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     if u == v:
         raise ValueError("the determinant formula requires distinct vertices")
-    minor = principal_minor_det(cache.laplacian_squared, (u, v))
-    return _sqrt_clamped(minor) / (np.sqrt(cache.graph.n) * cache.tree_count_raw)
+    sign, log_minor = principal_minor_slogdet(cache.laplacian_squared, (u, v))
+    if sign <= 0.0:
+        # Zero when the minor rounded to a tiny negative value; a defect beyond that.
+        return _sqrt_clamped(sign * float(np.exp(log_minor)))
+    return float(np.exp(0.5 * (log_minor - np.log(cache.graph.n)) - cache.log_tree_count))
 
 
 def biharmonic_minnorm(graph_or_cache, u: int, v: int) -> float:

@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 from biharmonic import (
     complete_graph,
     eigendecompose,
+    hypercube_graph,
     jacobi_eigh,
+    make_graph,
     path_graph,
     principal_minor_det,
     read_edge_list,
@@ -17,7 +19,18 @@ from biharmonic import (
     symmetrize,
     wheel_graph,
 )
-from biharmonic.linalg import cholesky, cholesky_solve
+from biharmonic.linalg import (
+    MAX_SWEEPS,
+    SWEEP_TOLERANCE,
+    _off_norm,
+    _round_robin,
+    cholesky,
+    cholesky_solve,
+    principal_minor_slogdet,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+EPS = np.finfo(float).eps
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -218,3 +231,190 @@ class TestSymmetrize:
         s = symmetrize(product)
         assert np.array_equal(s, s.T)
         assert np.max(np.abs(s - product)) <= 1e-12 * np.max(np.abs(product))
+
+
+def cyclic_jacobi_reference(a, tol=SWEEP_TOLERANCE, max_sweeps=MAX_SWEEPS):
+    """The row-major cyclic Jacobi loop the package shipped before the
+    round-robin ordering, one Python-level rotation per pair, kept as the
+    yardstick for accuracy."""
+    n = np.asarray(a, dtype=float).shape[0]
+    a = symmetrize(a)
+    v = np.eye(n)
+    norm = float(np.sqrt(np.sum(a * a)))
+    stop = tol * norm
+    if n > 1 and norm > 0.0:
+        skip = stop / n
+        for _ in range(max_sweeps):
+            if _off_norm(a) <= stop:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    if abs(apq) <= skip:
+                        continue
+                    app = a[p, p]
+                    aqq = a[q, q]
+                    theta = (aqq - app) / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    row_p = a[p, :].copy()
+                    row_q = a[q, :].copy()
+                    a[p, :] = c * row_p - s * row_q
+                    a[q, :] = s * row_p + c * row_q
+                    a[:, p] = a[p, :]
+                    a[:, q] = a[q, :]
+                    a[p, p] = app - t * apq
+                    a[q, q] = aqq + t * apq
+                    a[p, q] = 0.0
+                    a[q, p] = 0.0
+                    col_p = v[:, p].copy()
+                    col_q = v[:, q].copy()
+                    v[:, p] = c * col_p - s * col_q
+                    v[:, q] = s * col_p + c * col_q
+        else:
+            if _off_norm(a) > stop:
+                raise np.linalg.LinAlgError(
+                    f"Jacobi iteration did not converge in {max_sweeps} sweeps"
+                )
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def spectral_defects(lap, w, z):
+    """Residual, orthogonality, pseudoinverse row-sum and LpL defects of an
+    eigendecomposition of a connected graph's Laplacian; the first two are
+    scaled by the rounding level n * eps."""
+    n = len(w)
+    residual = np.linalg.norm(lap @ z - z * w, np.inf) / (n * EPS * max(1.0, w[-1]))
+    orthogonality = np.linalg.norm(z.T @ z - np.eye(n), np.inf) / (n * EPS)
+    inv = np.zeros(n)
+    inv[1:] = 1.0 / w[1:]
+    p = symmetrize((z * inv) @ z.T)
+    p2 = symmetrize((z * inv**2) @ z.T)
+    rows = max(np.max(np.abs(p.sum(axis=1))), np.max(np.abs(p2.sum(axis=1))))
+    lpl = np.max(np.abs(lap @ p @ lap - lap))
+    return np.array([residual, orthogonality, rows, lpl])
+
+
+@pytest.fixture(scope="module")
+def reference_cases(random_suite):
+    """(Laplacian, round-robin solve, cyclic reference solve) on the golden
+    graphs, the seeded suite, K_n for n in {1, 2, 5, 30, 99}, Q_4 and Q_6;
+    odd n among them include the wheel W_7, K_5 and K_99."""
+    graphs = [read_edge_list(path) for path in sorted(GOLDEN.glob("*.g"))]
+    graphs += list(random_suite)
+    graphs += [complete_graph(n) for n in (1, 2, 5, 30, 99)]
+    graphs += [hypercube_graph(4), hypercube_graph(6)]
+    laplacians = [g.laplacian() for g in graphs]
+    return [(lap, jacobi_eigh(lap), cyclic_jacobi_reference(lap)) for lap in laplacians]
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 10, 17])
+    def test_schedule_covers_each_pair_once(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == max(n + n % 2 - 1, 0)
+        seen = []
+        for p, q in rounds:
+            assert np.all(p < q) and np.all(q < n)
+            assert len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_eigenvalues_match_cyclic_reference(self, reference_cases):
+        for lap, (w, _), (w_ref, _) in reference_cases:
+            assert np.max(np.abs(w - w_ref)) <= 1e-12 * max(1.0, w_ref[-1])
+
+    def test_deterministic(self, reference_cases):
+        for lap, (w, v), _ in reference_cases:
+            again_w, again_v = jacobi_eigh(lap)
+            assert np.array_equal(again_w, w) and np.array_equal(again_v, v)
+
+    def test_eigenvalues_only_bit_identical(self, reference_cases):
+        for lap, (w, _), _ in reference_cases:
+            only_w, none = jacobi_eigh(lap, vectors=False)
+            assert none is None and np.array_equal(only_w, w)
+
+    def test_defects_no_worse_than_cyclic(self, reference_cases):
+        new = np.array([spectral_defects(lap, *solved) for lap, solved, _ in reference_cases])
+        ref = np.array([spectral_defects(lap, *solved) for lap, _, solved in reference_cases])
+        # Per graph the defects move both ways, so the gate is on suite statistics.
+        assert np.all(np.median(new, axis=0) <= 2.0 * np.median(ref, axis=0))
+        assert np.all(np.max(new[:, :3], axis=0) <= 2.0 * np.max(ref[:, :3], axis=0))
+        # The LpL defect is the off-diagonal mass the last sweep leaves below the
+        # stopping threshold tol * ||L||_F, so where that sweep lands sets its
+        # maximum, for either ordering; both must stay within the threshold.
+        for (lap, _, _), lpl_new, lpl_ref in zip(reference_cases, new[:, 3], ref[:, 3]):
+            threshold = SWEEP_TOLERANCE * np.sqrt(np.sum(lap * lap))
+            assert lpl_new <= threshold and lpl_ref <= threshold
+
+
+class TestSolverCounters:
+    def test_diagonal_input_needs_no_sweep(self):
+        for a in (np.diag([3.0, -1.0, 2.0]), np.zeros((4, 4)), [[5.0]]):
+            solved = jacobi_eigh(a)
+            assert (solved.sweeps, solved.rotations, solved.off_norm) == (0, 0, 0.0)
+
+    def test_counters_on_reference_set(self, reference_cases):
+        for lap, solved, _ in reference_cases:
+            if not np.any(lap - np.diag(np.diag(lap))):
+                continue
+            norm = float(np.sqrt(np.sum(lap * lap)))
+            assert 1 <= solved.sweeps <= MAX_SWEEPS
+            assert 1 <= solved.rotations <= solved.sweeps * len(lap) * (len(lap) - 1) // 2
+            assert solved.off_norm <= SWEEP_TOLERANCE * norm
+
+    def test_eigendecompose_carries_counters(self):
+        lap = wheel_graph(7).laplacian()
+        eig = eigendecompose(lap)
+        solved = jacobi_eigh(lap)
+        assert (eig.sweeps, eig.rotations, eig.off_norm) == (
+            solved.sweeps,
+            solved.rotations,
+            solved.off_norm,
+        )
+
+    def test_sweep_cap_raises(self):
+        a = random_symmetric(np.random.default_rng(61), 12)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1 sweeps"):
+            jacobi_eigh(a, max_sweeps=1)
+
+
+def dense_random_graph(n, seed):
+    """A spanning path plus each other pair with probability 1/2."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges |= {(p, q) for p in range(n) for q in range(p + 2, n) if rng.random() < 0.5}
+    return make_graph(n, edges)
+
+
+class TestSupportedSize:
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(200), dense_random_graph(200, 67), dense_random_graph(199, 71)],
+        ids=["K200", "dense200", "dense199"],
+    )
+    def test_dense_n200_matches_numpy(self, g):
+        lap = g.laplacian()
+        w, v = jacobi_eigh(lap)
+        expected = np.linalg.eigvalsh(lap)
+        assert np.max(np.abs(w - expected)) <= 1e-12 * expected[-1]
+        assert np.max(np.abs(v.T @ v - np.eye(g.n))) <= 1e-12
+
+
+class TestLogDeterminant:
+    def test_beyond_double_range(self):
+        # det(1e10 I_40) = 1e400 overflows a double; its log does not.
+        sign, logabs = principal_minor_slogdet(1e10 * np.eye(41), (0,))
+        assert sign == 1.0 and abs(logabs - 400 * np.log(10.0)) <= 1e-12 * logabs
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert principal_minor_det(-1e10 * np.eye(41), (0,)) == np.inf
+
+    def test_sign_and_singular(self):
+        assert principal_minor_slogdet([[0.0, 1.0], [1.0, 0.0]]) == (-1.0, 0.0)
+        assert principal_minor_slogdet(np.ones((3, 3)))[0] == 0.0
+        assert principal_minor_slogdet(np.eye(2), {0, 1}) == (1.0, 0.0)

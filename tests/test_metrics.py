@@ -5,6 +5,7 @@ import pytest
 
 from biharmonic import (
     DisconnectedGraphError,
+    SpectralCache,
     all_methods,
     biharmonic_determinant,
     biharmonic_index_pairwise,
@@ -343,3 +344,16 @@ class TestEdgeMonotonicity:
             if checked >= 15:
                 break
         assert checked == 15
+
+
+class TestDeterminantRouteBeyondDoubleRange:
+    @pytest.mark.parametrize("n", [100, 150])
+    def test_complete_graph_routes_agree(self, n):
+        # The minor of L^2 is about n * tau^2 = n^(2n-3), far beyond the largest double.
+        cache = SpectralCache(complete_graph(n))
+        exact = SQRT2 / n
+        det = biharmonic_determinant(cache, 0, n - 1)
+        assert math.isfinite(det) and abs(det - exact) <= 1e-8 * exact
+        report = all_methods(cache, 0, n - 1)
+        assert all(math.isfinite(x) for x in report.values())
+        assert report.max_relative_spread <= 1e-8
