@@ -47,10 +47,7 @@ _METHODS = {
 def cmd_dist(args) -> int:
     g = graphs.read_edge_list(args.path)
     cache = metrics.SpectralCache(g)
-    u, v = args.u, args.v
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex {x} out of range [0, {g.n})")
+    u, v = metrics._check_vertex(g.n, args.u), metrics._check_vertex(g.n, args.v)
     if u == v and args.method in ("det", "all"):
         print(
             "warning: distance from a vertex to itself is 0 by definition; "
@@ -58,16 +55,17 @@ def cmd_dist(args) -> int:
             file=sys.stderr,
         )
     if args.method != "all":
-        print(fmt(0.0 if u == v else _METHODS[args.method](cache, u, v)))
-        return 0
-    if u == v:
-        values, spread = (0.0,) * len(_METHODS), 0.0
+        rows = {args.method: 0.0 if u == v else _METHODS[args.method](cache, u, v)}
+    elif u == v:
+        rows = dict.fromkeys([*_METHODS, "spread"], 0.0)
     else:
         report = metrics.all_methods(cache, u, v)
-        values, spread = report.values(), report.max_relative_spread
-    for name, value in zip(_METHODS, values):
-        print(f"{name} {fmt(value)}")
-    print(f"spread {fmt(spread)}")
+        rows = dict(zip([*_METHODS, "spread"], [*report.values(), report.max_relative_spread]))
+    bad = [f"{name} {fmt(x)}" for name, x in rows.items() if not np.isfinite(x)]
+    if bad:
+        raise ArithmeticError(f"non-finite result: {', '.join(bad)}")
+    for name, x in rows.items():
+        print(f"{name} {fmt(x)}" if args.method == "all" else fmt(x))
     return 0
 
 

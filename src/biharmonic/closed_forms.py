@@ -16,10 +16,7 @@ import numpy as np
 
 from .graphs import CayleySpec, DisconnectedGraphError
 from .linalg import EigenDecomposition
-from .metrics import has_spectral_gap
-
-GENERATING_TOLERANCE = 1e-9
-COMPLEMENT_TOLERANCE = 1e-9
+from .metrics import _check_vertex, has_spectral_gap
 
 
 def complete_graph_distance(n: int) -> float:
@@ -108,19 +105,17 @@ def complement_distance(eig: EigenDecomposition, u: int, v: int) -> float:
     Requires the complement to be connected, i.e. the largest eigenvalue of
     G to stay below n.
     """
-    w = eig.eigenvalues
     n = eig.n
-    for x in (u, v):
-        if not 0 <= x < n:
-            raise ValueError(f"vertex {x} out of range [0, {n})")
-    if w[-1] >= n - COMPLEMENT_TOLERANCE:
+    u, v = _check_vertex(n, u), _check_vertex(n, v)
+    gaps = n - eig.eigenvalues[1:]
+    if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps)))):
         raise DisconnectedGraphError(
             "complement is disconnected (largest Laplacian eigenvalue reaches n)"
         )
     if u == v:
         return 0.0
     z = _kernel_aligned_vectors(eig)
-    diff = (z[u, 1:] - z[v, 1:]) / (n - w[1:])
+    diff = (z[u, 1:] - z[v, 1:]) / gaps
     return float(np.sqrt(np.sum(diff * diff)))
 
 
@@ -142,11 +137,8 @@ def cartesian_distance(
     if not (has_spectral_gap(w1) and has_spectral_gap(w2)):
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
-    u1, u2 = u_pair
-    v1, v2 = v_pair
-    for x, n in ((u1, n1), (u2, n2), (v1, n1), (v2, n2)):
-        if not 0 <= x < n:
-            raise ValueError(f"vertex {x} out of range [0, {n})")
+    u1, u2 = _check_vertex(n1, u_pair[0]), _check_vertex(n2, u_pair[1])
+    v1, v2 = _check_vertex(n1, v_pair[0]), _check_vertex(n2, v_pair[1])
     z1 = eig1.eigenvectors
     z2 = eig2.eigenvectors
     total = 0.0
@@ -223,7 +215,7 @@ def cayley_distance(spec: CayleySpec, u, v) -> float:
     n = table.group_order
     degree = len(spec.connection_set)
     gaps = degree - table.adjacency_eigenvalues
-    if n >= 2 and np.min(gaps[1:]) <= GENERATING_TOLERANCE:
+    if not has_spectral_gap(np.sort(gaps)):
         raise DisconnectedGraphError(
             "connection set does not generate the group (zero spectral gap)"
         )

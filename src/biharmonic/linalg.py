@@ -13,11 +13,11 @@ only the eigenvalues can have the same sweep skip the eigenvector rotations
 (``vectors=False``): the eigenvalues never read them, so they come out
 bit-identical for less work.
 
-Linear systems go through an explicit Cholesky factorization. Determinants
-come from diagonally pivoted elimination that accumulates the sign and the
-log of each pivot, so a determinant far beyond the range of a double (the
-squared-Laplacian minors of dense graphs with a hundred vertices) still has a
-finite logarithm. At the matrix sizes this package targets (up to a few
+Linear systems go through an explicit Cholesky factorization. Every
+determinant comes from one row-pivoted elimination that accumulates the sign
+and the log of each pivot, so a determinant far beyond the range of a double
+(the squared-Laplacian minors of dense graphs with a hundred vertices) still
+has a finite logarithm. At the matrix sizes this package targets (up to a few
 hundred vertices) these small dense routines are fast enough and their
 rounding behavior is easy to reason about.
 """
@@ -32,7 +32,6 @@ import numpy as np
 SWEEP_TOLERANCE = 1e-12
 MAX_SWEEPS = 100
 GROUPING_FACTOR = 1e-8
-DIAGONAL_STALL = 1e-14
 
 
 def symmetrize(a) -> np.ndarray:
@@ -93,30 +92,28 @@ def _rotate_rows(m: np.ndarray, p: np.ndarray, q: np.ndarray, c, s) -> None:
     m[q] = s * row_p + c * row_q
 
 
-def jacobi_eigh(
-    a, tol: float = SWEEP_TOLERANCE, max_sweeps: int = MAX_SWEEPS, vectors: bool = True
-) -> JacobiResult:
+def jacobi_eigh(a, vectors: bool = True) -> JacobiResult:
     """Eigendecomposition of a symmetric matrix by round-robin Jacobi sweeps.
 
     Each sweep runs the rounds of :func:`_round_robin`; a round rotates away
     the off-diagonal entries of all of its pairs at once. Sweeps repeat
-    until the off-diagonal Frobenius norm falls below ``tol`` times the
-    Frobenius norm of the input. Returns ``(w, v)`` with eigenvalues ``w``
-    ascending and the matching orthonormal eigenvectors as the columns of
-    ``v``. Ties keep index order, so output is deterministic. With
-    ``vectors=False`` the rotations are not accumulated and ``v`` is None;
-    ``w`` is bit-identical to the one the full solve returns. The result
-    also carries the solver's counters (see :class:`JacobiResult`).
+    until the off-diagonal Frobenius norm falls below ``SWEEP_TOLERANCE``
+    times the Frobenius norm of the input. Returns ``(w, v)`` with
+    eigenvalues ``w`` ascending and the matching orthonormal eigenvectors as
+    the columns of ``v``. Ties keep index order, so output is deterministic.
+    With ``vectors=False`` the rotations are not accumulated and ``v`` is
+    None; ``w`` is bit-identical to the one the full solve returns. The
+    result also carries the solver's counters (see :class:`JacobiResult`).
 
-    Raises ``numpy.linalg.LinAlgError`` if the sweep cap is exhausted, which
-    signals a defect rather than a property of the input.
+    Raises ``numpy.linalg.LinAlgError`` once ``MAX_SWEEPS`` sweeps have not
+    converged, which signals a defect rather than a property of the input.
     """
     n = _check_square(np.asarray(a, dtype=float))
     a = symmetrize(a)
     # The eigenvectors are accumulated as the rows of vt = v^T, so that every
     # rotation, of a and of the eigenvectors alike, is a rotation of rows.
     vt = np.eye(n) if vectors else None
-    stop = tol * float(np.sqrt(np.sum(a * a)))
+    stop = SWEEP_TOLERANCE * float(np.sqrt(np.sum(a * a)))
     # Entries at or below `skip` cannot lift the off-diagonal norm above
     # `stop` even if a whole sweep consists of them, so skipping keeps the
     # termination test sound while avoiding degenerate rotations.
@@ -125,9 +122,9 @@ def jacobi_eigh(
     sweeps = rotations = 0
     off = _off_norm(a)
     while off > stop:
-        if sweeps == max_sweeps:
+        if sweeps == MAX_SWEEPS:
             raise np.linalg.LinAlgError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps"
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
             )
         for p, q in rounds:
             apq = a[p, q]
@@ -194,15 +191,15 @@ def _partition_close(values: np.ndarray, tolerance: float) -> tuple[tuple[int, .
     return tuple(tuple(g) for g in groups)
 
 
-def eigendecompose(a, grouping_factor: float = GROUPING_FACTOR) -> EigenDecomposition:
+def eigendecompose(a) -> EigenDecomposition:
     """Full eigendecomposition with eigenspace grouping.
 
     Two adjacent eigenvalues land in the same group iff they differ by at
-    most ``grouping_factor * max(1, largest eigenvalue)``.
+    most ``GROUPING_FACTOR * max(1, largest eigenvalue)``.
     """
     solved = jacobi_eigh(a)
     w, v = solved
-    tolerance = grouping_factor * max(1.0, float(w[-1]))
+    tolerance = GROUPING_FACTOR * max(1.0, float(w[-1]))
     return EigenDecomposition(
         eigenvalues=w,
         eigenvectors=v,
@@ -247,62 +244,32 @@ def spd_solve(a, b) -> np.ndarray:
     return cholesky_solve(cholesky(a), b)
 
 
-def _row_pivot_slogdet(block: np.ndarray) -> tuple[float, float]:
-    b = np.array(block, dtype=float)
-    n = b.shape[0]
-    sign, logabs = 1.0, 0.0
-    for k in range(n):
-        p = int(np.argmax(np.abs(b[k:, k]))) + k
-        pivot = b[p, k]
-        if pivot == 0.0:
-            return 0.0, -np.inf
-        if p != k:
-            b[[k, p], :] = b[[p, k], :]
-            sign = -sign
-        if pivot < 0.0:
-            sign = -sign
-        logabs += math.log(abs(pivot))
-        if k + 1 < n:
-            b[k + 1 :, k:] -= np.outer(b[k + 1 :, k] / pivot, b[k, k:])
-    return sign, logabs
-
-
 def slogdet(a) -> tuple[float, float]:
-    """Sign and natural log of the absolute determinant of a symmetric matrix,
-    by diagonally pivoted elimination; a singular matrix gives (0, -inf).
+    """Sign and natural log of the absolute determinant of a square matrix,
+    by row-pivoted Gaussian elimination; a singular matrix gives (0, -inf).
 
-    Pivots are taken on the diagonal with a paired row and column swap (two
-    sign flips, so the determinant is unchanged) and the trailing block is
-    updated with the symmetric rank-one Schur complement, which keeps it
-    exactly symmetric. If no usable diagonal pivot remains, the remaining
-    block is finished with ordinary row-pivoted elimination. Accumulating
-    log|pivot| instead of the product keeps determinants beyond the range of
-    a double finite in the log domain.
+    Each step takes the entry of largest magnitude in the current column as
+    the pivot, swaps its row up (one sign flip) and subtracts the rank-one
+    Schur complement from the trailing block only. Accumulating log|pivot|
+    instead of the product keeps determinants beyond the range of a double
+    finite in the log domain.
     """
-    a = symmetrize(a)
+    a = np.array(a, dtype=float)
     n = _check_square(a)
     sign, logabs = 1.0, 0.0
     for k in range(n):
-        block = a[k:, k:]
-        scale = float(np.max(np.abs(block)))
-        if scale == 0.0:
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = a[p, k]
+        if pivot == 0.0:
             return 0.0, -np.inf
-        diag = np.abs(np.diag(block))
-        best = int(np.argmax(diag))
-        if diag[best] <= DIAGONAL_STALL * scale:
-            rest_sign, rest_log = _row_pivot_slogdet(block)
-            return sign * rest_sign, logabs + rest_log
-        p = k + best
         if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            a[:, [k, p]] = a[:, [p, k]]
-        pivot = a[k, k]
+            a[[k, p], k:] = a[[p, k], k:]
+            sign = -sign
         if pivot < 0.0:
             sign = -sign
         logabs += math.log(abs(pivot))
         if k + 1 < n:
-            col = a[k + 1 :, k].copy()
-            a[k + 1 :, k + 1 :] -= np.outer(col, col) / pivot
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / pivot, a[k, k + 1 :])
     return sign, logabs
 
 

@@ -181,11 +181,13 @@ def _check_monotonicity(cache: metrics.SpectralCache) -> CheckResult:
 
 
 def _check_matrix_tree(g: graphs.Graph, cache: metrics.SpectralCache) -> CheckResult:
+    """Every minor det((L^2)_-v) against n tau^2, compared in logs so that
+    neither side overflows; the printed tau must still be finite to pass."""
     tau = metrics.spanning_tree_count(g)
-    expected = g.n * tau * tau
-    minors = (linalg.principal_minor_det(cache.laplacian_squared, (v,)) for v in range(g.n))
-    worst = _worst(abs(minor - expected) / expected for minor in minors)
-    ok = worst <= MATRIX_TREE_RELATIVE
+    expected = np.log(g.n) + 2.0 * cache.log_tree_count
+    minors = (linalg.principal_minor_slogdet(cache.laplacian_squared, (v,)) for v in range(g.n))
+    worst = _worst(abs(sign * np.exp(log_minor - expected) - 1.0) for sign, log_minor in minors)
+    ok = worst <= MATRIX_TREE_RELATIVE and np.isfinite(tau)
     detail = f"tau {fmt(tau)} worst relative defect {fmt(worst)}"
     if g.n <= 7:
         exhaustive = count_spanning_trees_exhaustive(g)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import biharmonic.cli
 import biharmonic.linalg
 import biharmonic.metrics
 from biharmonic import (
@@ -108,6 +109,23 @@ class TestDist:
         assert main(["dist", str(path), "0", "1"]) == 2
         _, err = capsys.readouterr()
         assert "disconnected" in err
+
+
+class TestDistFailsClosed:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("method", ["det", "all"])
+    def test_non_finite_route_exit_one(self, graph_file, capsys, monkeypatch, method, bad):
+        def route(cache, u, v):
+            return bad
+
+        monkeypatch.setitem(biharmonic.cli._METHODS, "det", route)
+        monkeypatch.setattr(biharmonic.metrics, "biharmonic_determinant", route)
+        path = graph_file("w5.g", wheel_graph(5))
+        assert main(["dist", path, "1", "3", "--method", method]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-finite result: det ")
+        assert err.count("\n") == 1
 
 
 class TestMatrix:

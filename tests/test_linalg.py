@@ -19,6 +19,7 @@ from biharmonic import (
     symmetrize,
     wheel_graph,
 )
+from biharmonic import linalg
 from biharmonic.linalg import (
     MAX_SWEEPS,
     SWEEP_TOLERANCE,
@@ -27,6 +28,7 @@ from biharmonic.linalg import (
     cholesky,
     cholesky_solve,
     principal_minor_slogdet,
+    slogdet,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -378,10 +380,11 @@ class TestSolverCounters:
             solved.off_norm,
         )
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
         a = random_symmetric(np.random.default_rng(61), 12)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1 sweeps"):
-            jacobi_eigh(a, max_sweeps=1)
+            jacobi_eigh(a)
 
 
 def dense_random_graph(n, seed):
@@ -418,3 +421,42 @@ class TestLogDeterminant:
         assert principal_minor_slogdet([[0.0, 1.0], [1.0, 0.0]]) == (-1.0, 0.0)
         assert principal_minor_slogdet(np.ones((3, 3)))[0] == 0.0
         assert principal_minor_slogdet(np.eye(2), {0, 1}) == (1.0, 0.0)
+
+
+class TestSlogdetAgainstNumpy:
+    """Sign and log|det| against numpy.linalg.slogdet: principal minors of L^2
+    (one and two vertices removed) at the supported size, and random
+    symmetric indefinite matrices."""
+
+    REMOVED = [(0,), (7,), (0, 1), (3, 150)]
+
+    @pytest.mark.parametrize(
+        "g, rel",
+        [
+            (complete_graph(200), 1e-12),
+            (dense_random_graph(200, 67), 1e-12),
+            (dense_random_graph(199, 71), 1e-12),
+            (path_graph(200), 1e-9),  # the worst-conditioned L^2 of the set
+        ],
+        ids=["K200", "dense200", "dense199", "path200"],
+    )
+    def test_squared_laplacian_minors(self, g, rel):
+        lap = g.laplacian()
+        lap2 = symmetrize(lap @ lap)
+        for removed in self.REMOVED:
+            keep = [i for i in range(g.n) if i not in removed]
+            expected_sign, expected_log = np.linalg.slogdet(lap2[np.ix_(keep, keep)])
+            sign, logabs = principal_minor_slogdet(lap2, removed)
+            assert sign == expected_sign
+            assert abs(logabs - expected_log) <= rel * max(1.0, abs(expected_log))
+
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    def test_random_symmetric_indefinite(self, n):
+        rng = np.random.default_rng(73 + n)
+        for _ in range(3):
+            a = random_symmetric(rng, n, scale=2.0)
+            assert np.min(np.linalg.eigvalsh(a)) < 0.0 < np.max(np.linalg.eigvalsh(a))
+            expected_sign, expected_log = np.linalg.slogdet(a)
+            sign, logabs = slogdet(a)
+            assert sign == expected_sign
+            assert abs(logabs - expected_log) <= 1e-12 * max(1.0, abs(expected_log))

@@ -19,7 +19,8 @@ from biharmonic import (
     verify_graph,
     wheel_graph,
 )
-from biharmonic.verification import _triangle_defect, _worst
+from biharmonic.metrics import SpectralCache
+from biharmonic.verification import _check_matrix_tree, _triangle_defect, _worst
 
 BASE_CHECKS = [
     "connectivity-certificate",
@@ -145,3 +146,22 @@ class TestTriangleDefect:
             tracemalloc.stop()
         # a few n x n arrays, where the n^3 array of sums alone is 64 MB
         assert peak < 8 * n * n * 8
+
+
+class TestMatrixTreeInLogs:
+    """The minors of L^2 of K100 (about n tau^2 = 1e394) and K150 overflow a
+    double; the check compares their logs with log n + 2 log tau instead."""
+
+    def test_k100_passes(self):
+        cache = SpectralCache(complete_graph(100))
+        result = _check_matrix_tree(cache.graph, cache)
+        assert result.passed, result.detail
+        assert result.detail.startswith("tau 1e+196 worst relative defect ")
+
+    def test_k150_fails_closed_on_infinite_tau(self):
+        # tau(K150) = 150^148, about e^741, is past the largest double as a count.
+        cache = SpectralCache(complete_graph(150))
+        with pytest.warns(RuntimeWarning):
+            result = _check_matrix_tree(cache.graph, cache)
+        assert not result.passed
+        assert result.detail.startswith("tau inf ")
