@@ -13,13 +13,15 @@ only the eigenvalues can have the same sweep skip the eigenvector rotations
 (``vectors=False``): the eigenvalues never read them, so they come out
 bit-identical for less work.
 
-Linear systems go through an explicit Cholesky factorization. Every
-determinant comes from one row-pivoted elimination that accumulates the sign
-and the log of each pivot, so a determinant far beyond the range of a double
-(the squared-Laplacian minors of dense graphs with a hundred vertices) still
-has a finite logarithm. At the matrix sizes this package targets (up to a few
-hundred vertices) these small dense routines are fast enough and their
-rounding behavior is easy to reason about.
+Linear systems go through an explicit Cholesky factorization, and the
+inverse of a triangular factor comes from forward substitution. The log
+determinant of a positive definite matrix is twice the sum of the logs of
+its Cholesky diagonal; a general matrix has one row-pivoted elimination that
+accumulates the sign and the log of each pivot. Either way a determinant far
+beyond the range of a double (the squared-Laplacian minors of dense graphs
+with a hundred vertices) still has a finite logarithm. At the matrix sizes
+this package targets (up to a few hundred vertices) these small dense
+routines are fast enough and their rounding behavior is easy to reason about.
 """
 
 from __future__ import annotations
@@ -217,12 +219,11 @@ def cholesky(a) -> np.ndarray:
     n = _check_square(a)
     low = np.zeros((n, n))
     for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0:
+        # Column j from the diagonal down; its first entry is the squared pivot.
+        col = a[j:, j] - low[j:, :j] @ low[j, :j]
+        if not col[0] > 0.0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+        low[j:, j] = col / math.sqrt(col[0])
     return low
 
 
@@ -237,6 +238,17 @@ def cholesky_solve(low: np.ndarray, b) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
     return x
+
+
+def triangular_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with a nonzero diagonal, by forward
+    substitution: row i of the inverse follows from rows 0..i-1."""
+    n = _check_square(low)
+    inv = np.zeros((n, n))
+    for i in range(n):
+        inv[i, i] = d = 1.0 / low[i, i]
+        inv[i, :i] = (low[i, :i] @ inv[:i, :i]) * -d
+    return inv
 
 
 def spd_solve(a, b) -> np.ndarray:

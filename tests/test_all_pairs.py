@@ -1,0 +1,154 @@
+"""All-pairs rows of the four routes against the per-pair formulas they replace,
+the closed-form index drop against an eigenvalues-only rebuild, and a Cholesky
+breakdown on one grounded minor of L^2."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import biharmonic.metrics
+from biharmonic import (
+    biharmonic_determinant,
+    biharmonic_minnorm,
+    biharmonic_spectral,
+    build_cache,
+    check_edge_monotonicity,
+    read_edge_list,
+    wheel_graph,
+    write_edge_list,
+)
+from biharmonic.cli import main
+from biharmonic.metrics import rebuilt_index
+from biharmonic.verification import MONOTONICITY_SAMPLE_CAP
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ROW_AGREEMENT = 1e-10
+DROP_AGREEMENT = 1e-9
+
+
+def pair_determinants(cache, u, vs):
+    """The determinant route one pair at a time: the log determinant of L^2
+    without rows and columns u and v against that of L without row and
+    column 0."""
+    n = cache.graph.n
+    _, log_tau = np.linalg.slogdet(cache.laplacian[1:, 1:])
+    out = []
+    for v in vs:
+        keep = [w for w in range(n) if w not in (u, v)]
+        _, log_minor = np.linalg.slogdet(cache.laplacian_squared[np.ix_(keep, keep)])
+        out.append(np.exp(0.5 * (log_minor - np.log(n)) - log_tau))
+    return np.array(out)
+
+
+def pair_minnorms(cache, u, vs):
+    """The min-norm route one pair at a time: the norm of the solution x of
+    (L + J/n) x = e_u - e_v, for all v at once as the columns of one solve."""
+    n = cache.graph.n
+    b = np.zeros((n, len(vs)))
+    b[u] = 1.0
+    b[vs, np.arange(len(vs))] = -1.0
+    x = np.linalg.solve(cache.laplacian + 1.0 / n, b)
+    return np.sqrt(np.sum(x * x, axis=0))
+
+
+def pair_spectral(cache, u, vs):
+    w = cache.eig.eigenvalues[1:]
+    z = cache.eig.eigenvectors
+    out = []
+    for v in vs:
+        diff = (z[u, 1:] - z[v, 1:]) / w
+        out.append(np.sqrt(np.sum(diff * diff)))
+    return np.array(out)
+
+
+# Each route against its per-pair formula. numpy.linalg does the reference
+# eliminations: as accurate as the package's per-pair kernels, and fast
+# enough to cover every pair of the seeded suite.
+ROUTES = [
+    (biharmonic_determinant, pair_determinants),
+    (biharmonic_minnorm, pair_minnorms),
+    (biharmonic_spectral, pair_spectral),
+]
+
+
+def assert_rows_match_pairs(cache):
+    n = cache.graph.n
+    for u in range(n - 1):
+        vs = np.arange(u + 1, n)
+        for row_route, pair_route in ROUTES:
+            row = row_route(cache, u, vs)
+            expected = pair_route(cache, u, vs)
+            assert np.all(np.abs(row - expected) <= ROW_AGREEMENT * expected), (row_route, u)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.g")))
+def test_rows_match_pair_routes_on_goldens(name):
+    assert_rows_match_pairs(build_cache(read_edge_list(GOLDEN / f"{name}.g")))
+
+
+def test_rows_match_pair_routes_on_suite(random_suite_caches):
+    for cache in random_suite_caches:
+        assert_rows_match_pairs(cache)
+
+
+def test_row_and_pair_reads_agree_exactly():
+    cache = build_cache(wheel_graph(7))
+    for route, _ in ROUTES:
+        row = route(cache, 2, np.array([0, 1, 3, 6]))
+        assert row.tolist() == [route(cache, 2, v) for v in (0, 1, 3, 6)]
+        assert route(cache, 2, 5) == route(cache, 5, 2)
+
+
+def test_determinant_row_rejects_its_own_vertex():
+    with pytest.raises(ValueError, match="distinct"):
+        biharmonic_determinant(wheel_graph(5), 1, np.array([0, 1]))
+
+
+def test_closed_form_drop_matches_rebuild(random_suite):
+    checked = 0
+    for g in random_suite[:10]:
+        cache = build_cache(g)
+        for e in g.nonedges()[:MONOTONICITY_SAMPLE_CAP]:
+            before, after = check_edge_monotonicity(cache, e)
+            rebuilt = rebuilt_index(cache, e)
+            assert abs((before - rebuilt) - (before - after)) <= DROP_AGREEMENT * (before - after)
+            checked += 1
+    assert checked > 100
+
+
+def test_closed_form_drop_matches_numpy_on_suite(random_suite_caches):
+    # Every seeded graph, every addition verify checks, against numpy.linalg
+    # eigenvalues of L + b b' (the Jacobi rebuild above takes 26 s for all).
+    checked = 0
+    for cache in random_suite_caches:
+        n = cache.graph.n
+        b_index = n * np.sum(1.0 / np.linalg.eigvalsh(cache.laplacian)[1:] ** 2)
+        for u, v in cache.graph.nonedges()[:MONOTONICITY_SAMPLE_CAP]:
+            before, after = check_edge_monotonicity(cache, (u, v))
+            b = np.zeros(n)
+            b[u], b[v] = 1.0, -1.0
+            w = np.linalg.eigvalsh(cache.laplacian + np.outer(b, b))
+            drop = b_index - n * np.sum(1.0 / w[1:] ** 2)
+            assert abs(drop - (before - after)) <= DROP_AGREEMENT * drop
+            checked += 1
+    assert checked > 1000
+
+
+def test_cholesky_breakdown_on_one_minor_exits_one(tmp_path, capsys, monkeypatch):
+    g = wheel_graph(7)
+    path = tmp_path / "w7.g"
+    write_edge_list(g, path)
+    minor = np.delete(np.delete(build_cache(g).laplacian_squared, 2, axis=0), 2, axis=1)
+    original = biharmonic.metrics.cholesky
+
+    def breaks_on_minor(a):
+        if np.array_equal(a, minor):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        return original(a)
+
+    monkeypatch.setattr(biharmonic.metrics, "cholesky", breaks_on_minor)
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: matrix is not positive definite\n"

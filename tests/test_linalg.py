@@ -29,6 +29,7 @@ from biharmonic.linalg import (
     cholesky_solve,
     principal_minor_slogdet,
     slogdet,
+    triangular_inverse,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -162,6 +163,10 @@ class TestSpdSolve:
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_nan_pivot_fails_closed(self):
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            cholesky(np.array([[4.0, 2.0], [2.0, np.nan]]))
+
     def test_factor_reuse(self):
         rng = np.random.default_rng(41)
         b_mat = rng.normal(size=(6, 6))
@@ -170,6 +175,16 @@ class TestSpdSolve:
         assert np.allclose(low @ low.T, a, atol=1e-12)
         b = rng.normal(size=6)
         assert np.allclose(a @ cholesky_solve(low, b), b, atol=1e-10)
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+    def test_inverse_of_cholesky_factor(self, n):
+        b_mat = np.random.default_rng(n).normal(size=(n, n))
+        low = cholesky(b_mat.T @ b_mat + np.eye(n))
+        inv = triangular_inverse(low)
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.allclose(inv @ low, np.eye(n), atol=1e-12)
 
 
 class TestPrincipalMinorDet:

@@ -1,4 +1,5 @@
-"""The lazy per-graph state: which operations run the eigensolver, and how often."""
+"""The lazy per-graph state: which operations run the eigensolver and the
+Cholesky factorization, and how often."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from biharmonic import (
     write_edge_list,
 )
 from biharmonic.cli import main
-from biharmonic.verification import MONOTONICITY_SAMPLE_CAP
 
 
 @pytest.fixture
@@ -38,6 +38,22 @@ def jacobi_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(biharmonic.linalg, "jacobi_eigh", counted)
+    return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Record the shape of each call of linalg.cholesky, under every module
+    name that binds it."""
+    calls = []
+    original = biharmonic.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for module in (biharmonic.linalg, biharmonic.metrics):
+        monkeypatch.setattr(module, "cholesky", counted)
     return calls
 
 
@@ -74,14 +90,38 @@ def test_distance_matrix_on_graph_solves_once(jacobi_calls):
     assert len(jacobi_calls) == 1
 
 
-@pytest.mark.parametrize(
-    "g", [complete_graph(5), k4_minus(), path_graph(9)], ids=["K5", "K4-", "P9"]
-)
+VERIFY_GRAPHS = [complete_graph(5), k4_minus(), path_graph(9)]
+VERIFY_IDS = ["K5", "K4-", "P9"]
+
+
+@pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
 def test_verify_solve_count(jacobi_calls, g):
+    # One full solve of G; with nonedges, one eigenvalues-only solve of G + e
+    # for the first addition checks the closed form that gives all of them.
     verify_graph(g)
-    additions = min(MONOTONICITY_SAMPLE_CAP, len(g.nonedges()))
-    assert len(jacobi_calls) == 1 + additions
-    assert [vectors for _, vectors in jacobi_calls].count(True) == 1
+    expected = [True, False] if g.nonedges() else [True]
+    assert [vectors for _, vectors in jacobi_calls] == expected
+
+
+@pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
+def test_verify_factorization_count(cholesky_calls, g):
+    # n grounded minors of L^2 shared by the det route and the matrix-tree
+    # check, the tree-count minor of L, and L + J/n for the min-norm route.
+    verify_graph(g)
+    n = g.n
+    assert len(cholesky_calls) == n + 2
+    assert cholesky_calls.count((n, n)) == 1
+
+
+def test_pair_reads_factor_once_per_row(cholesky_calls):
+    state = SpectralCache(wheel_graph(6))
+    for _ in range(2):
+        biharmonic_determinant(state, 1, 3)
+        biharmonic_determinant(state, 3, 1)
+        biharmonic_minnorm(state, 1, 3)
+        biharmonic_minnorm(state, 2, 4)
+    # row 1 of the det route, the tree-count minor, and L + J/n
+    assert len(cholesky_calls) == 3
 
 
 def test_state_rejects_disconnected_graph(jacobi_calls):

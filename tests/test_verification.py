@@ -8,6 +8,7 @@ import biharmonic.metrics
 from biharmonic import (
     DisconnectedGraphError,
     all_passed,
+    is_connected,
     complete_graph,
     count_spanning_trees_exhaustive,
     cycle_graph,
@@ -165,3 +166,26 @@ class TestMatrixTreeInLogs:
             result = _check_matrix_tree(cache.graph, cache)
         assert not result.passed
         assert result.detail.startswith("tau inf ")
+
+
+def connected_gnp(n, p, seed):
+    """G(n, p) conditioned on being connected: the first connected draw of a
+    generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    while True:
+        coins = rng.random((n, n)) < p
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if coins[u, v]])
+        if is_connected(g):
+            return g
+
+
+class TestSupportedSizes:
+    """verify at sizes it reaches in tier-1 time since it reads all pairs one
+    row at a time and gets every edge addition in closed form."""
+
+    @pytest.mark.parametrize(
+        "g", [connected_gnp(160, 0.04, 160), complete_graph(100)], ids=["G(160,0.04)", "K100"]
+    )
+    def test_every_check_passes(self, g):
+        results = verify_graph(g)
+        assert [r for r in results if not r.passed] == []
