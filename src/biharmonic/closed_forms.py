@@ -3,20 +3,24 @@
 Complete graphs, hypercubes, complements, Cartesian products, and Cayley
 graphs of finite abelian groups all have explicitly known Laplacian spectra,
 so their distances can be evaluated without running an eigensolver on the
-assembled graph. Every formula here is validated against the spectral route
-in the test suite; agreement is the ground truth for the normalization
-choices documented on the individual functions.
+assembled graph. Each formula only states its eigenpairs (the eigenvector
+entries at u and at v, and the nonzero eigenvalues) and reduces them through
+metrics.spectral_sum, as the spectral route does. Every formula is validated
+against the spectral route in the test suite; agreement is the ground truth
+for the normalization choices documented on the individual functions.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import CayleySpec, DisconnectedGraphError
 from .linalg import EigenDecomposition
-from .metrics import _check_vertex, has_spectral_gap
+from .metrics import _check_vertex, has_spectral_gap, spectral_sum
 
 
 def complete_graph_distance(n: int) -> float:
@@ -28,43 +32,42 @@ def complete_graph_distance(n: int) -> float:
     return float(np.sqrt(2.0) / n)
 
 
-def _to_bits(d: int, x) -> tuple[int, ...]:
+def _cube_vertex(d: int, x) -> int:
+    """The index of a d-cube vertex; its bit i is coordinate i."""
     if isinstance(x, str):
         if len(x) != d or any(ch not in "01" for ch in x):
             raise ValueError(f"expected a {d}-character bit string, got {x!r}")
-        return tuple(int(ch) for ch in x)
+        return int(x[::-1], 2)
     if isinstance(x, (int, np.integer)):
         if not 0 <= x < (1 << d):
             raise ValueError(f"vertex index {x} out of range for a {d}-cube")
-        return tuple((int(x) >> i) & 1 for i in range(d))
+        return int(x)
     bits = tuple(int(b) for b in x)
     if len(bits) != d or any(b not in (0, 1) for b in bits):
         raise ValueError(f"expected {d} bits, got {x!r}")
-    return bits
+    return sum(b << i for i, b in enumerate(bits))
+
+
+@functools.cache
+def _cube(d: int) -> CayleySpec:
+    """Z_2^d with the unit vectors as connection set: the d-cube."""
+    return CayleySpec((2,) * d, tuple(tuple(int(i == j) for i in range(d)) for j in range(d)))
 
 
 def hypercube_distance(d: int, u, v) -> float:
     """Distance on the d-cube between vertices given as bit strings (str,
     index, or bit sequence).
 
-    The squared distance is a sum over nonempty coordinate subsets I of
-    |I|^(-2) * (1 - (-1)^(number of positions of I where u and v differ)),
-    divided by 2^(d+1). The division normalizes the underlying parity
-    vectors to unit length; on the 1-cube the result is sqrt(2)/2, the K_2
-    value.
+    The d-cube is the Cayley graph of Z_2^d on the unit vectors, so this is
+    cayley_distance on that group: the parity characters (-1)^(I . x) of
+    the nonempty coordinate subsets I, with eigenvalue 2|I|. On the 1-cube
+    the result is sqrt(2)/2, the K_2 value. The character table of a
+    dimension is built once and kept, 2^d x 2^d complex numbers.
     """
     d = int(d)
     if d < 1:
         raise ValueError(f"hypercube dimension must be positive, got {d}")
-    ub = _to_bits(d, u)
-    vb = _to_bits(d, v)
-    differ = sum((ub[i] ^ vb[i]) << i for i in range(d))
-    total = 0.0
-    for mask in range(1, 1 << d):
-        if (mask & differ).bit_count() & 1:
-            size = mask.bit_count()
-            total += 2.0 / (size * size)
-    return float(np.sqrt(total / 2.0 ** (d + 1)))
+    return cayley_distance(_cube(d), _cube_vertex(d, u), _cube_vertex(d, v))
 
 
 def _kernel_aligned_vectors(eig: EigenDecomposition) -> np.ndarray:
@@ -112,11 +115,8 @@ def complement_distance(eig: EigenDecomposition, u: int, v: int) -> float:
         raise DisconnectedGraphError(
             "complement is disconnected (largest Laplacian eigenvalue reaches n)"
         )
-    if u == v:
-        return 0.0
     z = _kernel_aligned_vectors(eig)
-    diff = (z[u, 1:] - z[v, 1:]) / gaps
-    return float(np.sqrt(np.sum(diff * diff)))
+    return float(spectral_sum(z[u, 1:], z[v, 1:], gaps))
 
 
 def cartesian_distance(
@@ -129,27 +129,20 @@ def cartesian_distance(
     from the factor eigendecompositions.
 
     Product eigenpairs are (lambda_i + mu_j, z_i tensor y_j); the pair
-    (i, j) = (1, 1) is the product kernel and is excluded from the sum.
+    (i, j) = (1, 1), flat index 0 of the outer products, is the product
+    kernel and is excluded from the sum.
     """
     w1 = eig1.eigenvalues.copy()
     w2 = eig2.eigenvalues.copy()
-    n1, n2 = eig1.n, eig2.n
     if not (has_spectral_gap(w1) and has_spectral_gap(w2)):
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
-    u1, u2 = _check_vertex(n1, u_pair[0]), _check_vertex(n2, u_pair[1])
-    v1, v2 = _check_vertex(n1, v_pair[0]), _check_vertex(n2, v_pair[1])
-    z1 = eig1.eigenvectors
-    z2 = eig2.eigenvectors
-    total = 0.0
-    for i in range(n1):
-        for j in range(n2):
-            if i == 0 and j == 0:
-                continue
-            lam = w1[i] + w2[j]
-            diff = z1[u1, i] * z2[u2, j] - z1[v1, i] * z2[v2, j]
-            total += (diff * diff) / (lam * lam)
-    return float(np.sqrt(total))
+    u1, u2 = _check_vertex(eig1.n, u_pair[0]), _check_vertex(eig2.n, u_pair[1])
+    v1, v2 = _check_vertex(eig1.n, v_pair[0]), _check_vertex(eig2.n, v_pair[1])
+    z1, z2 = eig1.eigenvectors, eig2.eigenvectors
+    at_u = np.outer(z1[u1], z2[u2]).ravel()[1:]
+    at_v = np.outer(z1[v1], z2[v2]).ravel()[1:]
+    return float(spectral_sum(at_u, at_v, np.add.outer(w1, w2).ravel()[1:]))
 
 
 def _unit_root(numerator: int, m: int) -> complex:
@@ -173,24 +166,20 @@ class CharacterTable:
     adjacency_eigenvalues: np.ndarray
 
 
+@functools.cache
 def character_table(spec: CayleySpec) -> CharacterTable:
-    tables = []
-    for m in spec.cyclic_orders:
-        t = np.empty((m, m), dtype=complex)
-        for j in range(m):
-            for g in range(m):
-                t[j, g] = _unit_root(j * g, m)
-        tables.append(t)
-    chars = tables[-1]
-    for t in reversed(tables[:-1]):
-        chars = np.kron(chars, t)
+    """The character table of spec's group, built once per spec and shared,
+    so its arrays are read-only."""
+    # The first coordinate is least significant: the last factor is outermost.
+    factors = [
+        np.array([[_unit_root(j * g, m) for g in range(m)] for j in range(m)])
+        for m in reversed(spec.cyclic_orders)
+    ]
+    chars = functools.reduce(np.kron, factors)
     s_idx = [spec.element_index(s) for s in spec.connection_set]
-    alpha = chars[:, s_idx].sum(axis=1) if s_idx else np.zeros(spec.group_order, dtype=complex)
-    return CharacterTable(
-        group_order=spec.group_order,
-        characters=chars,
-        adjacency_eigenvalues=alpha.real.copy(),
-    )
+    alpha = chars[:, s_idx].sum(axis=1).real.copy()
+    chars.flags.writeable = alpha.flags.writeable = False
+    return CharacterTable(spec.group_order, chars, alpha)
 
 
 def _to_element(spec: CayleySpec, x) -> int:
@@ -201,31 +190,32 @@ def _to_element(spec: CayleySpec, x) -> int:
     return spec.element_index(tuple(int(c) for c in x))
 
 
-def cayley_distance(spec: CayleySpec, u, v) -> float:
-    """Distance on the Cayley graph of a finite abelian group, from characters.
-
-    Nontrivial characters chi are the Laplacian eigenvectors, with eigenvalue
-    |S| - alpha(chi); the squared distance is the sum over them of
-    |chi(u) - chi(v)|^2 / (|S| - alpha(chi))^2, divided by the group order.
-    The division accounts for characters having squared norm N rather than 1.
-
-    Vertices may be given as residue tuples or as element indices.
-    """
+@functools.cache
+def _cayley_spectrum(spec: CayleySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the nontrivial characters and their Laplacian eigenvalues
+    |S| - alpha(chi), kept per spec. Raises DisconnectedGraphError when the
+    connection set S does not generate the group."""
     table = character_table(spec)
-    n = table.group_order
-    degree = len(spec.connection_set)
-    gaps = degree - table.adjacency_eigenvalues
+    gaps = len(spec.connection_set) - table.adjacency_eigenvalues
     if not has_spectral_gap(np.sort(gaps)):
         raise DisconnectedGraphError(
             "connection set does not generate the group (zero spectral gap)"
         )
+    return table.characters[1:], gaps[1:]
+
+
+def cayley_distance(spec: CayleySpec, u, v) -> float:
+    """Distance on the Cayley graph of a finite abelian group, from characters.
+
+    Nontrivial characters chi are the Laplacian eigenvectors, with eigenvalue
+    |S| - alpha(chi); the distance is the spectral sum over them of
+    |chi(u) - chi(v)|^2 / (|S| - alpha(chi))^2, divided by sqrt of the group
+    order. The division accounts for characters having squared norm N
+    rather than 1.
+
+    Vertices may be given as residue tuples or as element indices.
+    """
+    chars, gaps = _cayley_spectrum(spec)
     ui = _to_element(spec, u)
     vi = _to_element(spec, v)
-    if ui == vi:
-        return 0.0
-    chars = table.characters
-    total = 0.0
-    for j in range(1, n):
-        diff = abs(chars[j, ui] - chars[j, vi]) ** 2
-        total += diff / (gaps[j] * gaps[j])
-    return float(np.sqrt(total / n))
+    return float(spectral_sum(chars[:, ui], chars[:, vi], gaps)) / math.sqrt(spec.group_order)

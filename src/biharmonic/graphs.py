@@ -8,6 +8,7 @@ construction and there is exactly one representation per edge.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -155,12 +156,7 @@ def generate(family: str, *params: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    edges = (
-        (u, v)
-        for u, v in itertools.combinations(range(g.n), 2)
-        if (u, v) not in g.edges
-    )
-    return make_graph(g.n, edges)
+    return make_graph(g.n, g.nonedges())
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -212,10 +208,7 @@ class CayleySpec:
 
     @property
     def group_order(self) -> int:
-        order = 1
-        for m in self.cyclic_orders:
-            order *= m
-        return order
+        return math.prod(self.cyclic_orders)
 
     def negate(self, element: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(element, self.cyclic_orders))

@@ -237,6 +237,14 @@ def _sqrt_clamped(radicand):
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
+def spectral_sum(at_u, at_v, w):
+    """sqrt(sum |a - b|^2 / w^2) over the last axis: the distance from the
+    eigenvector entries a at u and b at v and the nonzero eigenvalues w. The
+    modulus lets complex eigenvectors (characters) in."""
+    diff = np.abs(at_u - at_v) / w
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def biharmonic_spectral(graph_or_cache, u: int, v):
     """Distance as the spectral sum over nonzero eigenvalues:
     sqrt(sum_k (z_k(u) - z_k(v))^2 / lambda_k^2).
@@ -245,10 +253,8 @@ def biharmonic_spectral(graph_or_cache, u: int, v):
     the distances from u), as for every route below.
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    w = cache.eig.eigenvalues[1:]
     z = cache.eig.eigenvectors
-    diff = (z[u, 1:] - z[v, 1:]) / w
-    return _per_vertex(np.sqrt(np.sum(diff * diff, axis=-1)))
+    return _per_vertex(spectral_sum(z[u, 1:], z[v, 1:], cache.eig.eigenvalues[1:]))
 
 
 def biharmonic_pinv_entries(graph_or_cache, u: int, v):
@@ -337,12 +343,12 @@ def all_methods(graph_or_cache, u: int, v: int) -> MethodReport:
 
 
 def distance_matrix(graph_or_cache) -> np.ndarray:
-    """Full symmetric matrix of biharmonic distances (pseudoinverse route)."""
+    """Full symmetric matrix of biharmonic distances (pseudoinverse route),
+    failing closed on a negative squared distance as the pair route does."""
     cache = _as_cache(graph_or_cache)
     p2 = cache.pinv2
     d = np.diag(p2)
-    sq = d[:, None] + d[None, :] - 2.0 * p2
-    return np.sqrt(np.maximum(sq, 0.0))
+    return _sqrt_clamped(d[:, None] + d[None, :] - 2.0 * p2)
 
 
 def spanning_tree_count(graph_or_cache) -> float:
@@ -350,7 +356,8 @@ def spanning_tree_count(graph_or_cache) -> float:
     Laplacian minor at vertex 0).
 
     Returns a rounded integer value when the determinant is within 1e-6
-    relative of one (always the case at desk scale); otherwise warns and
+    relative of one (always the case at desk scale), and inf when the count
+    overflows a double (numpy warns of the overflow); otherwise warns and
     returns the raw determinant. Disconnected graphs give 0.
     """
     try:
@@ -359,7 +366,7 @@ def spanning_tree_count(graph_or_cache) -> float:
         return 0.0
     raw = float(np.exp(cache.log_tree_count))
     nearest = float(np.round(raw))
-    if abs(raw - nearest) <= TREE_COUNT_ROUNDING * max(1.0, abs(raw)):
+    if np.isinf(raw) or abs(raw - nearest) <= TREE_COUNT_ROUNDING * max(1.0, abs(raw)):
         return nearest
     warnings.warn(
         f"spanning tree determinant {raw!r} is not close to an integer; returning it raw",

@@ -209,6 +209,15 @@ class TestNumericalDefects:
         path = graph_file("p3.g", path_graph(3))
         self.assert_exit_one(capsys, ["matrix", path], "negative squared distance -1.0")
 
+    def test_negative_radicand_in_matrix(self, graph_file, capsys, monkeypatch):
+        # Off the diagonal d_i + d_j - 2 p_ij = 2 RADICAND_FLOOR, past the floor.
+        bad = -biharmonic.metrics.RADICAND_FLOOR * (1.0 - np.eye(3))
+        monkeypatch.setattr(biharmonic.metrics.SpectralCache, "pinv2", property(lambda self: bad))
+        with pytest.raises(ArithmeticError):
+            biharmonic.metrics.distance_matrix(path_graph(3))
+        path = graph_file("p3.g", path_graph(3))
+        self.assert_exit_one(capsys, ["matrix", path], "negative squared distance -2e-12")
+
     def test_eigensolver_failure(self, graph_file, capsys, monkeypatch):
         def defect(a, *args, **kwargs):
             raise np.linalg.LinAlgError("Jacobi iteration did not converge")

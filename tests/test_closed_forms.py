@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,9 +25,68 @@ from biharmonic import (
     hypercube_graph,
     make_graph,
     path_graph,
+    wheel_graph,
 )
+from biharmonic.closed_forms import _kernel_aligned_vectors
 
 SQRT2 = math.sqrt(2.0)
+REFERENCE_RELATIVE = 1e-12
+QUERIES_SPEC = CayleySpec((6, 8), ((1, 0), (5, 0), (0, 1), (0, 7), (2, 3), (4, 5)))
+
+
+def hypercube_reference(d, u, v):
+    """The subset loop hypercube_distance ran before it became a Cayley
+    distance: the sum over nonempty coordinate subsets I of
+    |I|^-2 (1 - (-1)^(positions of I where u and v differ)), over 2^(d+1)."""
+    total = 0.0
+    for mask in range(1, 1 << d):
+        if (mask & (u ^ v)).bit_count() & 1:
+            size = mask.bit_count()
+            total += 2.0 / (size * size)
+    return math.sqrt(total / 2.0 ** (d + 1))
+
+
+def cayley_reference(spec, u, v):
+    """The loop over characters cayley_distance ran before spectral_sum,
+    u and v element indices."""
+    table = character_table(spec)
+    chars = table.characters
+    gaps = len(spec.connection_set) - table.adjacency_eigenvalues
+    total = 0.0
+    for j in range(1, table.group_order):
+        total += abs(chars[j, u] - chars[j, v]) ** 2 / (gaps[j] * gaps[j])
+    return math.sqrt(total / table.group_order)
+
+
+def cartesian_reference(eig1, eig2, u_pair, v_pair):
+    """The n1 n2 double loop over product eigenpairs cartesian_distance ran
+    before spectral_sum."""
+    w1, w2 = eig1.eigenvalues.copy(), eig2.eigenvalues.copy()
+    w1[0] = w2[0] = 0.0
+    z1, z2 = eig1.eigenvectors, eig2.eigenvectors
+    (u1, u2), (v1, v2) = u_pair, v_pair
+    total = 0.0
+    for i in range(eig1.n):
+        for j in range(eig2.n):
+            if i == 0 and j == 0:
+                continue
+            lam = w1[i] + w2[j]
+            diff = z1[u1, i] * z2[u2, j] - z1[v1, i] * z2[v2, j]
+            total += (diff * diff) / (lam * lam)
+    return math.sqrt(total)
+
+
+def complement_reference(eig, u, v):
+    """The spectral sum complement_distance typed itself before spectral_sum."""
+    z = _kernel_aligned_vectors(eig)
+    diff = (z[u, 1:] - z[v, 1:]) / (eig.n - eig.eigenvalues[1:])
+    return math.sqrt(np.sum(diff * diff))
+
+
+def assert_matches_reference(closed, reference, pairs):
+    for u, v in pairs:
+        expected = reference(u, v)
+        assert abs(closed(u, v) - expected) <= REFERENCE_RELATIVE * expected, (u, v)
 
 
 def z2_power_spec(d):
@@ -212,6 +272,15 @@ class TestCharacterTable:
         table = character_table(spec)
         assert np.allclose(table.adjacency_eigenvalues, [2.0, 0.0, -2.0, 0.0], atol=1e-12)
 
+    def test_built_once_per_spec_and_read_only(self):
+        table = character_table(QUERIES_SPEC)
+        assert character_table(QUERIES_SPEC) is table
+        assert character_table(CayleySpec((6, 8), QUERIES_SPEC.connection_set)) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table.characters[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.adjacency_eigenvalues[0] = 0.0
+
     def test_trivial_character_row(self):
         spec = z2_power_spec(3)
         table = character_table(spec)
@@ -279,6 +348,43 @@ class TestCayleyDistance:
         spec = CayleySpec(cyclic_orders=(6,), connection_set=((2,), (4,)))
         with pytest.raises(DisconnectedGraphError, match="generate"):
             cayley_distance(spec, 0, 1)
+
+
+class TestLoopReferences:
+    """Each closed form states its eigenpairs and reduces them through
+    spectral_sum; the per-family loops it replaced are kept above as
+    references."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_hypercube(self, d):
+        assert_matches_reference(
+            partial(hypercube_distance, d),
+            partial(hypercube_reference, d),
+            itertools.combinations(range(1 << d), 2),
+        )
+
+    def test_cayley_on_z6_z8(self):
+        assert_matches_reference(
+            partial(cayley_distance, QUERIES_SPEC),
+            partial(cayley_reference, QUERIES_SPEC),
+            itertools.combinations(range(48), 2),
+        )
+
+    def test_cartesian_cycle_times_wheel(self):
+        eigs = (eigendecompose(cycle_graph(6).laplacian()), eigendecompose(wheel_graph(8).laplacian()))
+        assert_matches_reference(
+            partial(cartesian_distance, *eigs),
+            partial(cartesian_reference, *eigs),
+            itertools.combinations(itertools.product(range(6), range(8)), 2),
+        )
+
+    def test_complement_of_path(self):
+        eig = eigendecompose(path_graph(30).laplacian())
+        assert_matches_reference(
+            partial(complement_distance, eig),
+            partial(complement_reference, eig),
+            itertools.combinations(range(30), 2),
+        )
 
 
 class TestFourFamilyAgreement:

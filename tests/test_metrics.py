@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,14 @@ class TestSpanningTrees:
 
     def test_disconnected_zero(self):
         assert spanning_tree_count(make_graph(3, [(0, 1)])) == 0.0
+
+    def test_overflow_is_inf_with_numpy_warning_only(self):
+        # tau(K150) = 150^148, about e^741, is past the largest double.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tau = spanning_tree_count(complete_graph(150))
+        assert tau == math.inf
+        assert [str(w.message) for w in caught] == ["overflow encountered in exp"]
 
 
 class TestIndices:

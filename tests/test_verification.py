@@ -184,7 +184,9 @@ class TestSupportedSizes:
     row at a time and gets every edge addition in closed form."""
 
     @pytest.mark.parametrize(
-        "g", [connected_gnp(160, 0.04, 160), complete_graph(100)], ids=["G(160,0.04)", "K100"]
+        "g",
+        [connected_gnp(160, 0.04, 160), complete_graph(100), hypercube_graph(7)],
+        ids=["G(160,0.04)", "K100", "Q7"],
     )
     def test_every_check_passes(self, g):
         results = verify_graph(g)
