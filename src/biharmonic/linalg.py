@@ -8,10 +8,7 @@ ordering, the parallel scheme of Brent and Luk (SIAM J. Sci. Stat. Comput.
 rounded up to even) of disjoint pairs. Rotations on disjoint pairs commute,
 so a whole round is applied at once as a handful of array operations; a
 sweep thus costs O(n) numpy steps instead of O(n^2) Python-level rotations,
-and the fixed schedule keeps the output deterministic. A caller that needs
-only the eigenvalues can have the same sweep skip the eigenvector rotations
-(``vectors=False``): the eigenvalues never read them, so they come out
-bit-identical for less work.
+and the fixed schedule keeps the output deterministic.
 
 Linear systems go through an explicit Cholesky factorization, and the
 inverse of a triangular factor comes from forward substitution. The log
@@ -94,7 +91,7 @@ def _rotate_rows(m: np.ndarray, p: np.ndarray, q: np.ndarray, c, s) -> None:
     m[q] = s * row_p + c * row_q
 
 
-def jacobi_eigh(a, vectors: bool = True) -> JacobiResult:
+def jacobi_eigh(a) -> JacobiResult:
     """Eigendecomposition of a symmetric matrix by round-robin Jacobi sweeps.
 
     Each sweep runs the rounds of :func:`_round_robin`; a round rotates away
@@ -103,9 +100,7 @@ def jacobi_eigh(a, vectors: bool = True) -> JacobiResult:
     times the Frobenius norm of the input. Returns ``(w, v)`` with
     eigenvalues ``w`` ascending and the matching orthonormal eigenvectors as
     the columns of ``v``. Ties keep index order, so output is deterministic.
-    With ``vectors=False`` the rotations are not accumulated and ``v`` is
-    None; ``w`` is bit-identical to the one the full solve returns. The
-    result also carries the solver's counters (see :class:`JacobiResult`).
+    The result also carries the solver's counters (see :class:`JacobiResult`).
 
     Raises ``numpy.linalg.LinAlgError`` once ``MAX_SWEEPS`` sweeps have not
     converged, which signals a defect rather than a property of the input.
@@ -114,7 +109,7 @@ def jacobi_eigh(a, vectors: bool = True) -> JacobiResult:
     a = symmetrize(a)
     # The eigenvectors are accumulated as the rows of vt = v^T, so that every
     # rotation, of a and of the eigenvectors alike, is a rotation of rows.
-    vt = np.eye(n) if vectors else None
+    vt = np.eye(n)
     stop = SWEEP_TOLERANCE * float(np.sqrt(np.sum(a * a)))
     # Entries at or below `skip` cannot lift the off-diagonal norm above
     # `stop` even if a whole sweep consists of them, so skipping keeps the
@@ -152,14 +147,12 @@ def jacobi_eigh(a, vectors: bool = True) -> JacobiResult:
             a[q, q] = aqq + t * apq
             a[p, q] = 0.0
             a[q, p] = 0.0
-            if vt is not None:
-                _rotate_rows(vt, p, q, c, s)
+            _rotate_rows(vt, p, q, c, s)
         sweeps += 1
         off = _off_norm(a)
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
-    v = None if vt is None else np.ascontiguousarray(vt[order].T)
-    return JacobiResult(w[order], v, sweeps, rotations, off)
+    return JacobiResult(w[order], np.ascontiguousarray(vt[order].T), sweeps, rotations, off)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ spectral and pinv routes, the inverse S^-1 of S = L + J/n for the min-norm
 route, and for the determinant route, per vertex u, the log determinant of
 M_u = L^2 without row and column u and the distances from u (n + 1 numbers
 from one Cholesky factorization of M_u, whose factor is dropped). A verify
-thus costs one eigensolve, n + 2 Cholesky factorizations (the n minors M_u,
-the tree-count minor of L and S) and one eigenvalues-only spot check of the
-closed-form index drop.
+thus costs one eigensolve and n + 2 Cholesky factorizations (the n minors
+M_u, the tree-count minor of L and S), plus one of S' = L(G+e) + J/n that
+rebuilds the index of the first edge addition as a spot check of its closed
+form.
 
 The module also provides the biharmonic index (half the sum of all squared
 pairwise distances, equal to n times the sum of inverse squared nonzero
@@ -44,7 +45,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .graphs import DisconnectedGraphError, Graph, is_connected, make_graph
 from .linalg import (
     EigenDecomposition,
@@ -87,7 +87,12 @@ class SpectralCache:
     @cached_property
     def eig(self) -> EigenDecomposition:
         eig = eigendecompose(self.laplacian)
-        _require_spectral_gap(eig.eigenvalues)
+        w = eig.eigenvalues
+        if not has_spectral_gap(w):
+            # The graph passed the traversal test, so this is a solver defect.
+            raise np.linalg.LinAlgError(
+                f"connected graph without a spectral gap (lambda_2 = {float(w[1])!r})"
+            )
         return eig
 
     def _pinv_power(self, power: int) -> np.ndarray:
@@ -175,14 +180,6 @@ def has_spectral_gap(w: np.ndarray) -> bool:
     is clearly nonzero, which certifies a connected graph (a single vertex
     always is). A nan eigenvalue gives False."""
     return len(w) < 2 or bool(w[1] > ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])))
-
-
-def _require_spectral_gap(w: np.ndarray) -> None:
-    if not has_spectral_gap(w):
-        # Every state's graph passed the traversal test, so this is a solver defect.
-        raise np.linalg.LinAlgError(
-            f"connected graph without a spectral gap (lambda_2 = {float(w[1])!r})"
-        )
 
 
 def build_cache(g: Graph) -> SpectralCache:
@@ -376,14 +373,10 @@ def spanning_tree_count(graph_or_cache) -> float:
     return raw
 
 
-def _index_of_spectrum(w: np.ndarray) -> float:
-    """n times the sum of inverse squared nonzero eigenvalues, w ascending."""
-    return len(w) * float(np.sum(1.0 / w[1:] ** 2))
-
-
 def biharmonic_index_spectral(graph_or_cache) -> float:
     """Biharmonic index as n times the sum of inverse squared nonzero eigenvalues."""
-    return _index_of_spectrum(_as_cache(graph_or_cache).eig.eigenvalues)
+    w = _as_cache(graph_or_cache).eig.eigenvalues
+    return len(w) * float(np.sum(1.0 / w[1:] ** 2))
 
 
 def biharmonic_index_pairwise(graph_or_cache) -> float:
@@ -541,14 +534,13 @@ def check_edge_monotonicity(graph_or_cache, e: tuple[int, int]) -> tuple[float, 
 
 
 def rebuilt_index(graph_or_cache, e: tuple[int, int]) -> float:
-    """B(g+e) for a nonedge e from an eigenvalues-only solve of g+e: the
-    independent check of the closed form in check_edge_monotonicity. The
-    eigenvalues are bit-identical to those of a full solve."""
+    """B(g+e) for a nonedge e, rebuilt from the Cholesky factor of g+e: the
+    independent check of the closed form in check_edge_monotonicity, which
+    reads g's eigen-based pinv. With S' = L' + J/n, S'^-1 = L'^+ + J/n, so
+    B(g+e) = n ||S'^-1 - J/n||_F^2. Subtracting 1/n before squaring keeps
+    the small entries of a dense graph, where ||S'^-1||_F^2 - 1 would cancel."""
     cache, u, v = _nonedge(graph_or_cache, e)
     g = cache.graph
     augmented = SpectralCache(make_graph(g.n, set(g.edges) | {(min(u, v), max(u, v))}))
-    # Called through the module, as eigendecompose calls it, so that one
-    # wrapper of linalg.jacobi_eigh sees every solve.
-    w, _ = linalg.jacobi_eigh(augmented.laplacian, vectors=False)
-    _require_spectral_gap(w)
-    return _index_of_spectrum(w)
+    pinv = augmented.shifted_inverse - 1.0 / g.n
+    return g.n * float(np.sum(pinv * pinv))

@@ -1,5 +1,5 @@
 """All-pairs rows of the four routes against the per-pair formulas they replace,
-the closed-form index drop against an eigenvalues-only rebuild, and a Cholesky
+the closed-form index drop against a Cholesky rebuild of G + e, and a Cholesky
 breakdown on one grounded minor of L^2."""
 
 from pathlib import Path
@@ -14,6 +14,7 @@ from biharmonic import (
     biharmonic_spectral,
     build_cache,
     check_edge_monotonicity,
+    path_graph,
     read_edge_list,
     wheel_graph,
     write_edge_list,
@@ -25,6 +26,9 @@ from biharmonic.verification import MONOTONICITY_SAMPLE_CAP
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROW_AGREEMENT = 1e-10
 DROP_AGREEMENT = 1e-9
+REBUILD_ACCURACY = 1e-12
+REBUILD_GRAPHS = {path.stem: read_edge_list(path) for path in sorted(GOLDEN.glob("*.g"))}
+REBUILD_GRAPHS["path200"] = path_graph(200)
 
 
 def pair_determinants(cache, u, vs):
@@ -117,9 +121,22 @@ def test_closed_form_drop_matches_rebuild(random_suite):
     assert checked > 100
 
 
+@pytest.mark.parametrize("name", [k for k, g in REBUILD_GRAPHS.items() if g.nonedges()])
+def test_rebuilt_index_matches_numpy(name):
+    # B(G+e) of the first addition against n * sum 1/lambda^2 from
+    # numpy.linalg eigenvalues of L + b b'; path200 has lambda_2 near 2.5e-4.
+    g = REBUILD_GRAPHS[name]
+    u, v = g.nonedges()[0]
+    b = np.zeros(g.n)
+    b[u], b[v] = 1.0, -1.0
+    w = np.linalg.eigvalsh(g.laplacian() + np.outer(b, b))
+    expected = g.n * np.sum(1.0 / w[1:] ** 2)
+    assert abs(rebuilt_index(g, (u, v)) - expected) <= REBUILD_ACCURACY * expected
+
+
 def test_closed_form_drop_matches_numpy_on_suite(random_suite_caches):
     # Every seeded graph, every addition verify checks, against numpy.linalg
-    # eigenvalues of L + b b' (the Jacobi rebuild above takes 26 s for all).
+    # eigenvalues of L + b b'.
     checked = 0
     for cache in random_suite_caches:
         n = cache.graph.n

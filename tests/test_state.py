@@ -24,18 +24,19 @@ from biharmonic import (
     write_edge_list,
 )
 from biharmonic.cli import main
+from biharmonic.metrics import rebuilt_index
 
 
 @pytest.fixture
 def jacobi_calls(monkeypatch):
-    """Record (shape, eigenvectors wanted) for each call of the eigensolver
-    that every eigendecomposition and eigenvalues-only solve goes through."""
+    """Record the shape of each call of the eigensolver that every
+    eigendecomposition goes through."""
     calls = []
     original = biharmonic.linalg.jacobi_eigh
 
-    def counted(*args, **kwargs):
-        calls.append((args[0].shape, kwargs.get("vectors", True)))
-        return original(*args, **kwargs)
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
 
     monkeypatch.setattr(biharmonic.linalg, "jacobi_eigh", counted)
     return calls
@@ -96,21 +97,30 @@ VERIFY_IDS = ["K5", "K4-", "P9"]
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
 def test_verify_solve_count(jacobi_calls, g):
-    # One full solve of G; with nonedges, one eigenvalues-only solve of G + e
-    # for the first addition checks the closed form that gives all of them.
+    # One full solve of G; the rebuild of the first addition factors G + e.
     verify_graph(g)
-    expected = [True, False] if g.nonedges() else [True]
-    assert [vectors for _, vectors in jacobi_calls] == expected
+    assert jacobi_calls == [(g.n, g.n)]
+
+
+@pytest.mark.parametrize("g", VERIFY_GRAPHS[1:], ids=VERIFY_IDS[1:])
+def test_rebuilt_index_without_eigensolver(jacobi_calls, g):
+    state = SpectralCache(g)
+    for e in g.nonedges():
+        rebuilt_index(g, e)
+        rebuilt_index(state, e)
+    assert jacobi_calls == []
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
 def test_verify_factorization_count(cholesky_calls, g):
     # n grounded minors of L^2 shared by the det route and the matrix-tree
-    # check, the tree-count minor of L, and L + J/n for the min-norm route.
+    # check, the tree-count minor of L, and L + J/n for the min-norm route;
+    # with a nonedge, also L(G+e) + J/n for the rebuild of the first addition.
     verify_graph(g)
     n = g.n
-    assert len(cholesky_calls) == n + 2
-    assert cholesky_calls.count((n, n)) == 1
+    rebuilt = 1 if g.nonedges() else 0
+    assert len(cholesky_calls) == n + 2 + rebuilt
+    assert cholesky_calls.count((n, n)) == 1 + rebuilt
 
 
 def test_pair_reads_factor_once_per_row(cholesky_calls):

@@ -185,8 +185,13 @@ class TestSupportedSizes:
 
     @pytest.mark.parametrize(
         "g",
-        [connected_gnp(160, 0.04, 160), complete_graph(100), hypercube_graph(7)],
-        ids=["G(160,0.04)", "K100", "Q7"],
+        [
+            connected_gnp(160, 0.04, 160),
+            connected_gnp(200, 0.03, 200),
+            complete_graph(100),
+            hypercube_graph(7),
+        ],
+        ids=["G(160,0.04)", "G(200,0.03)", "K100", "Q7"],
     )
     def test_every_check_passes(self, g):
         results = verify_graph(g)
