@@ -18,11 +18,7 @@ import numpy as np
 
 from . import graphs, metrics, verification
 from .graphs import DisconnectedGraphError, EdgeListFormatError
-from .verification import fmt
-
-
-def _flag(b: bool) -> str:
-    return "true" if b else "false"
+from .verification import flag, fmt
 
 
 def _index_set(indices) -> str:
@@ -105,10 +101,10 @@ def cmd_bounds(args) -> int:
     print(f"lower {fmt(r.lower)}")
     print(f"value {fmt(r.value)}")
     print(f"upper {fmt(r.upper)}")
-    print(f"lower-attained {_flag(r.lower_attained)}")
-    print(f"upper-attained {_flag(r.upper_attained)}")
-    print(f"sigmaN {_index_set(r.sigma_n)} orthogonal {_flag(r.sigma_n_orthogonal)}")
-    print(f"sigma2 {_index_set(r.sigma2)} orthogonal {_flag(r.sigma2_orthogonal)}")
+    print(f"lower-attained {flag(r.lower_attained)}")
+    print(f"upper-attained {flag(r.upper_attained)}")
+    print(f"sigmaN {_index_set(r.sigma_n)} orthogonal {flag(r.sigma_n_orthogonal)}")
+    print(f"sigma2 {_index_set(r.sigma2)} orthogonal {flag(r.sigma2_orthogonal)}")
     return 0
 
 
@@ -131,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("v", type=int)
     dist.add_argument(
         "--method",
-        choices=["spectral", "pinv", "det", "minnorm", "all"],
+        choices=[*_METHODS, "all"],
         default="pinv",
         help="computational route (default pinv); 'all' cross-checks every route",
     )

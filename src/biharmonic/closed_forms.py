@@ -70,53 +70,27 @@ def hypercube_distance(d: int, u, v) -> float:
     return cayley_distance(_cube(d), _cube_vertex(d, u), _cube_vertex(d, v))
 
 
-def _kernel_aligned_vectors(eig: EigenDecomposition) -> np.ndarray:
-    """Eigenvector columns with the zero-eigenspace basis rotated so that its
-    first column is the constant unit vector.
-
-    Any orthonormal basis of an eigenspace is equally valid to the
-    eigensolver, but formulas that exclude the constant direction need it to
-    be literally one of the basis columns; when the kernel has dimension
-    greater than one there is no reason it would be. A single Householder
-    reflection inside the kernel block fixes that without touching the rest.
-    """
-    z = eig.eigenvectors
-    group = eig.eigenspace_groups[0]
-    if len(group) == 1:
-        return z
-    n = z.shape[0]
-    cols = np.array(group)
-    block = z[:, cols]
-    coeff = block.T @ np.full(n, 1.0 / np.sqrt(n))
-    mirror = coeff.copy()
-    mirror[0] -= 1.0
-    weight = mirror @ mirror
-    if weight > 1e-30:
-        reflect = np.eye(len(group)) - 2.0 * np.outer(mirror, mirror) / weight
-        block = block @ reflect
-    z = z.copy()
-    z[:, cols] = block
-    return z
-
-
 def complement_distance(eig: EigenDecomposition, u: int, v: int) -> float:
     """Distance on the complement of G, computed from G's eigendecomposition.
 
-    The complement's Laplacian shares G's eigenvectors orthogonal to the
-    constant vector, with eigenvalue lambda replaced by n - lambda, so the
-    spectral sum can be re-weighted without constructing the complement.
-    Requires the complement to be connected, i.e. the largest eigenvalue of
-    G to stay below n.
+    On 1^perp, the vectors orthogonal to the constant vector, the
+    complement's Laplacian is n I - L. Since e_u - e_v lies in 1^perp, the
+    distance is ||(n I - L)^-1 (e_u - e_v)||: the spectral sum over all of
+    G's eigenpairs with lambda replaced by n - lambda, without constructing
+    the complement. The constant direction contributes nothing, so this holds
+    in whatever basis the solver chose for a kernel of dimension above one.
+    Requires the complement to be connected, i.e. the largest eigenvalue of G
+    to stay below n.
     """
     n = eig.n
     u, v = _check_vertex(n, u), _check_vertex(n, v)
-    gaps = n - eig.eigenvalues[1:]
-    if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps)))):
+    gaps = n - eig.eigenvalues
+    if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps[1:])))):
         raise DisconnectedGraphError(
             "complement is disconnected (largest Laplacian eigenvalue reaches n)"
         )
-    z = _kernel_aligned_vectors(eig)
-    return float(spectral_sum(z[u, 1:], z[v, 1:], gaps))
+    z = eig.eigenvectors
+    return float(spectral_sum(z[u], z[v], gaps))
 
 
 def cartesian_distance(

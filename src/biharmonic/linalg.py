@@ -159,14 +159,13 @@ def jacobi_eigh(a) -> JacobiResult:
 class EigenDecomposition:
     """Ascending eigenvalues, orthonormal eigenvector columns, and the
     partition of indices into maximal runs of eigenvalues that agree within
-    ``grouping_tolerance`` (needed to reason about eigenspaces, not just
-    eigenvalues, in floating point). ``sweeps``, ``rotations`` and
+    tolerance (see eigendecompose; needed to reason about eigenspaces, not
+    just eigenvalues, in floating point). ``sweeps``, ``rotations`` and
     ``off_norm`` are the counters of the Jacobi solve (see JacobiResult)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigenspace_groups: tuple[tuple[int, ...], ...]
-    grouping_tolerance: float
     sweeps: int
     rotations: int
     off_norm: float
@@ -194,12 +193,10 @@ def eigendecompose(a) -> EigenDecomposition:
     """
     solved = jacobi_eigh(a)
     w, v = solved
-    tolerance = GROUPING_FACTOR * max(1.0, float(w[-1]))
     return EigenDecomposition(
         eigenvalues=w,
         eigenvectors=v,
-        eigenspace_groups=_partition_close(w, tolerance),
-        grouping_tolerance=tolerance,
+        eigenspace_groups=_partition_close(w, GROUPING_FACTOR * max(1.0, float(w[-1]))),
         sweeps=solved.sweeps,
         rotations=solved.rotations,
         off_norm=solved.off_norm,

@@ -304,7 +304,8 @@ def relative_spread(values):
 
 @dataclass(frozen=True)
 class MethodReport:
-    """One vertex pair computed by all four routes, with their relative spread."""
+    """Vertex u against v computed by all four routes, with their relative
+    spread. For an array of vertices v, the five values are arrays over it."""
 
     pair: tuple[int, int]
     spectral: float
@@ -317,10 +318,11 @@ class MethodReport:
         return (self.spectral, self.pinv_entries, self.determinant, self.min_norm)
 
 
-def all_methods(graph_or_cache, u: int, v: int) -> MethodReport:
-    """Run all four distance characterizations on one pair of distinct vertices."""
+def all_methods(graph_or_cache, u: int, v) -> MethodReport:
+    """Run all four distance characterizations on u against a vertex v or an
+    array of vertices v, none of them u."""
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    if u == v:
+    if (np.asarray(v) == u).any():
         raise ValueError("cross-method comparison requires distinct vertices")
     values = (
         biharmonic_spectral(cache, u, v),
@@ -328,15 +330,7 @@ def all_methods(graph_or_cache, u: int, v: int) -> MethodReport:
         biharmonic_determinant(cache, u, v),
         biharmonic_minnorm(cache, u, v),
     )
-    spread = float(relative_spread(values))
-    return MethodReport(
-        pair=(u, v),
-        spectral=values[0],
-        pinv_entries=values[1],
-        determinant=values[2],
-        min_norm=values[3],
-        max_relative_spread=spread,
-    )
+    return MethodReport((u, v), *values, _per_vertex(relative_spread(values)))
 
 
 def distance_matrix(graph_or_cache) -> np.ndarray:
@@ -479,9 +473,7 @@ def check_brk(graph_or_cache) -> BrkReport:
     b = biharmonic_index_spectral(cache)
     kf = kirchhoff_index(cache)
     rhs = kf * kf / (n * (n - 1))
-    if b < rhs - EQUALITY_TOLERANCE:
-        raise ArithmeticError(f"index inequality violated: {b!r} < {rhs!r}")
-    return BrkReport(b=b, kf=kf, rhs=rhs, equality=abs(b - rhs) <= EQUALITY_TOLERANCE)
+    return BrkReport(b=b, kf=kf, rhs=rhs, equality=_attains(b, rhs, "index inequality"))
 
 
 class IndexFloorReport(NamedTuple):
@@ -496,9 +488,15 @@ def check_index_floor(graph_or_cache) -> IndexFloorReport:
     n = cache.graph.n
     b = biharmonic_index_spectral(cache)
     floor = (n - 1) / n
-    if b < floor - EQUALITY_TOLERANCE:
-        raise ArithmeticError(f"index floor violated: {b!r} < {floor!r}")
-    return IndexFloorReport(b=b, floor=floor, equality=abs(b - floor) <= EQUALITY_TOLERANCE)
+    return IndexFloorReport(b=b, floor=floor, equality=_attains(b, floor, "index floor"))
+
+
+def _attains(b: float, bound: float, name: str) -> bool:
+    """Whether the index b attains its lower bound; ArithmeticError, named
+    after the bound, when b falls below it beyond tolerance."""
+    if b < bound - EQUALITY_TOLERANCE:
+        raise ArithmeticError(f"{name} violated: {b!r} < {bound!r}")
+    return abs(b - bound) <= EQUALITY_TOLERANCE
 
 
 def _nonedge(graph_or_cache, e: tuple[int, int]) -> tuple[SpectralCache, int, int]:

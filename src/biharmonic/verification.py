@@ -2,14 +2,17 @@
 
 Given a connected graph, this module recomputes its biharmonic structure along
 every available route and confirms that the routes agree and that all the
-proved inequalities hold. Each check yields a named CheckResult; the CLI turns
-them into PASS/FAIL lines and exits nonzero if any fail.
+proved inequalities hold. Each check returns its verdict and detail, and
+`_CHECKS` names them in report order; verify_graph turns each into a named
+CheckResult, and the CLI turns those into PASS/FAIL lines and exits nonzero if
+any fail.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +41,11 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def flag(b) -> str:
+    """The one boolean format of every report and CLI line."""
+    return "true" if b else "false"
+
+
 def _worst(values, reduce=max, start: float = 0.0) -> float:
     """Reduce (max or min) over start and values, failing closed: nan as soon
     as any value is nan or inf. A plain max(worst, nan) keeps worst, which
@@ -57,12 +65,12 @@ def count_spanning_trees_exhaustive(g: graphs.Graph) -> int:
     return count
 
 
-def _check_connectivity(cache: metrics.SpectralCache) -> CheckResult:
+def _check_connectivity(cache: metrics.SpectralCache):
     """A state exists only for a graph that passed the traversal test, and its
     eigendecomposition only with a spectral gap: a graph failing either
     certificate raises before any check runs."""
     _ = cache.eig
-    return CheckResult("connectivity-certificate", True, "traversal=true spectral=true")
+    return True, "traversal=true spectral=true"
 
 
 def _rows(n: int):
@@ -70,24 +78,13 @@ def _rows(n: int):
     return ((u, np.arange(u + 1, n)) for u in range(n - 1))
 
 
-def _check_methods(cache: metrics.SpectralCache) -> CheckResult:
+def _check_methods(cache: metrics.SpectralCache):
     """The four routes on all pairs, one row u at a time (memory O(n^2))."""
-    routes = (
-        metrics.biharmonic_spectral,
-        metrics.biharmonic_pinv_entries,
-        metrics.biharmonic_determinant,
-        metrics.biharmonic_minnorm,
-    )
-    spreads = (
-        np.max(metrics.relative_spread([route(cache, u, vs) for route in routes]), initial=0.0)
+    worst = _worst(
+        np.max(metrics.all_methods(cache, u, vs).max_relative_spread)
         for u, vs in _rows(cache.graph.n)
     )
-    worst = _worst(spreads)
-    return CheckResult(
-        name="four-method-agreement",
-        passed=worst <= SPREAD_TOLERANCE,
-        detail=f"max relative spread {fmt(worst)}",
-    )
+    return worst <= SPREAD_TOLERANCE, f"max relative spread {fmt(worst)}"
 
 
 def _triangle_defect(dm: np.ndarray) -> float:
@@ -103,89 +100,73 @@ def _triangle_defect(dm: np.ndarray) -> float:
     return float(np.max(dm - closest))
 
 
-def _check_metric_axioms(cache: metrics.SpectralCache) -> CheckResult:
+def _check_metric_axioms(cache: metrics.SpectralCache):
     dm = metrics.distance_matrix(cache)
     n = cache.graph.n
     nonnegative = bool(np.all(dm >= 0.0))
-    null_diagonal = bool(np.all(np.diag(dm) == 0.0))
-    positive_off = n < 2 or bool(np.min(dm[~np.eye(n, dtype=bool)]) > 0.0)
+    nullity = bool(np.all(np.diag(dm) == 0.0)) and (
+        n < 2 or bool(np.min(dm[~np.eye(n, dtype=bool)]) > 0.0)
+    )
     symmetric = bool(np.array_equal(dm, dm.T))
     violation = _triangle_defect(dm)
-    triangle = violation <= TRIANGLE_TOLERANCE
-    passed = nonnegative and null_diagonal and positive_off and symmetric and triangle
-    return CheckResult(
-        name="metric-axioms",
-        passed=passed,
-        detail=(
-            f"nonnegative={str(nonnegative).lower()} nullity={str(null_diagonal and positive_off).lower()} "
-            f"symmetric={str(symmetric).lower()} triangle defect {fmt(violation)}"
-        ),
+    passed = nonnegative and nullity and symmetric and violation <= TRIANGLE_TOLERANCE
+    return passed, (
+        f"nonnegative={flag(nonnegative)} nullity={flag(nullity)} "
+        f"symmetric={flag(symmetric)} triangle defect {fmt(violation)}"
     )
 
 
-def _check_bounds(cache: metrics.SpectralCache) -> CheckResult:
+def _check_bounds(cache: metrics.SpectralCache):
     reports = [metrics.bounds_report(cache, u, vs) for u, vs in _rows(cache.graph.n)]
     worst = _worst(
         np.max(x, initial=0.0) for r in reports for x in (r.lower - r.value, r.value - r.upper)
     )
     consistent = all(np.all(r.consistent) for r in reports)
-    return CheckResult(
-        name="spectral-bounds",
-        passed=worst <= BOUND_SLACK and consistent,
-        detail=f"worst bound defect {fmt(worst)} attainment consistent {str(consistent).lower()}",
+    return (
+        worst <= BOUND_SLACK and consistent,
+        f"worst bound defect {fmt(worst)} attainment consistent {flag(consistent)}",
     )
 
 
-def _check_index_consistency(cache: metrics.SpectralCache) -> CheckResult:
+def _check_index_consistency(cache: metrics.SpectralCache):
     spectral = metrics.biharmonic_index_spectral(cache)
     pairwise = metrics.biharmonic_index_pairwise(cache)
-    gap = abs(spectral - pairwise)
-    ok = gap <= INDEX_MATCH * max(1.0, abs(spectral))
-    return CheckResult(
-        name="index-consistency",
-        passed=ok,
-        detail=f"spectral {fmt(spectral)} pairwise {fmt(pairwise)}",
-    )
+    ok = abs(spectral - pairwise) <= INDEX_MATCH * max(1.0, abs(spectral))
+    return ok, f"spectral {fmt(spectral)} pairwise {fmt(pairwise)}"
 
 
-def _check_brk(cache: metrics.SpectralCache) -> CheckResult:
-    g = cache.graph
-    if g.n < 2:
-        return CheckResult("index-inequality", True, "single vertex, vacuous")
+def _index_bound(check, bound: str, cache: metrics.SpectralCache):
+    """A proved lower bound on B through its metrics checker: a violation,
+    which the checker raises, FAILs, and the equality flag must hold exactly
+    on complete graphs. bound names the report field of the right side."""
     try:
-        r = metrics.check_brk(cache)
+        r = check(cache)
     except ArithmeticError as exc:
-        return CheckResult("index-inequality", False, str(exc))
-    flag_ok = r.equality == graphs.is_complete(g)
-    return CheckResult(
-        name="index-inequality",
-        passed=flag_ok,
-        detail=f"B {fmt(r.b)} >= {fmt(r.rhs)} equality={str(r.equality).lower()}",
+        return False, str(exc)
+    return (
+        r.equality == graphs.is_complete(cache.graph),
+        f"B {fmt(r.b)} >= {fmt(getattr(r, bound))} equality={flag(r.equality)}",
     )
 
 
-def _check_floor(cache: metrics.SpectralCache) -> CheckResult:
-    g = cache.graph
-    try:
-        r = metrics.check_index_floor(cache)
-    except ArithmeticError as exc:
-        return CheckResult("index-floor", False, str(exc))
-    flag_ok = g.n < 2 or r.equality == graphs.is_complete(g)
-    return CheckResult(
-        name="index-floor",
-        passed=flag_ok,
-        detail=f"B {fmt(r.b)} >= {fmt(r.floor)} equality={str(r.equality).lower()}",
-    )
+def _check_brk(cache: metrics.SpectralCache):
+    if cache.graph.n < 2:
+        return True, "single vertex, vacuous"
+    return _index_bound(metrics.check_brk, "rhs", cache)
 
 
-def _check_monotonicity(cache: metrics.SpectralCache) -> CheckResult:
+def _check_floor(cache: metrics.SpectralCache):
+    return _index_bound(metrics.check_index_floor, "floor", cache)
+
+
+def _check_monotonicity(cache: metrics.SpectralCache):
     nonedges = cache.graph.nonedges()[:MONOTONICITY_SAMPLE_CAP]
     if not nonedges:
-        return CheckResult("edge-monotonicity", True, "no nonedges to add")
+        return True, "no nonedges to add"
     try:
         indices = [metrics.check_edge_monotonicity(cache, e) for e in nonedges]
     except ArithmeticError as exc:
-        return CheckResult("edge-monotonicity", False, str(exc))
+        return False, str(exc)
     margin = _worst((before - after for before, after in indices), reduce=min, start=np.inf)
     detail = f"{len(nonedges)} additions, min index drop {fmt(margin)}"
     # The first addition rebuilt from a Cholesky factor of L(G+e) + J/n: an
@@ -195,26 +176,27 @@ def _check_monotonicity(cache: metrics.SpectralCache) -> CheckResult:
     matched = abs(rebuilt - after) <= INDEX_MATCH * max(1.0, abs(before))
     if not matched:
         detail += f", rebuilt {fmt(rebuilt)} against {fmt(after)}"
-    return CheckResult("edge-monotonicity", margin > MONOTONICITY_MARGIN and matched, detail)
+    return margin > MONOTONICITY_MARGIN and matched, detail
 
 
-def _check_matrix_tree(g: graphs.Graph, cache: metrics.SpectralCache) -> CheckResult:
+def _check_matrix_tree(cache: metrics.SpectralCache):
     """Every minor det((L^2)_-v) against n tau^2, compared in logs so that
     neither side overflows; the printed tau must still be finite to pass.
     The minors are the ones the determinant route factored."""
+    n = cache.graph.n
     tau = metrics.spanning_tree_count(cache)
-    expected = np.log(g.n) + 2.0 * cache.log_tree_count
-    worst = _worst(abs(np.exp(cache.grounded(v)[0] - expected) - 1.0) for v in range(g.n))
+    expected = np.log(n) + 2.0 * cache.log_tree_count
+    worst = _worst(abs(np.exp(cache.grounded(v)[0] - expected) - 1.0) for v in range(n))
     ok = worst <= MATRIX_TREE_RELATIVE and np.isfinite(tau)
     detail = f"tau {fmt(tau)} worst relative defect {fmt(worst)}"
-    if g.n <= 7:
-        exhaustive = count_spanning_trees_exhaustive(g)
+    if n <= 7:
+        exhaustive = count_spanning_trees_exhaustive(cache.graph)
         ok = ok and exhaustive == tau
         detail += f" exhaustive {exhaustive}"
-    return CheckResult(name="matrix-tree", passed=ok, detail=detail)
+    return ok, detail
 
 
-def _check_pinv_identities(cache: metrics.SpectralCache) -> CheckResult:
+def _check_pinv_identities(cache: metrics.SpectralCache):
     lap = cache.laplacian
     p = cache.pinv
     p2 = cache.pinv2
@@ -222,61 +204,61 @@ def _check_pinv_identities(cache: metrics.SpectralCache) -> CheckResult:
     square = float(np.max(np.abs(p @ p - p2)))
     rows = float(max(np.max(np.abs(p.sum(axis=1))), np.max(np.abs(p2.sum(axis=1)))))
     worst = _worst((reproduce, square, rows))
-    return CheckResult(
-        name="pseudoinverse-identities",
-        passed=worst <= PINV_IDENTITY,
-        detail=f"LpL defect {fmt(reproduce)} square defect {fmt(square)} row sums {fmt(rows)}",
+    return (
+        worst <= PINV_IDENTITY,
+        f"LpL defect {fmt(reproduce)} square defect {fmt(square)} row sums {fmt(rows)}",
     )
 
 
 def _recognize_family(g: graphs.Graph):
-    if g.n >= 2 and graphs.is_complete(g):
-        return ("complete", g.n)
-    d = g.n.bit_length() - 1
-    if d >= 1 and (1 << d) == g.n and g.edges == graphs.hypercube_graph(d).edges:
-        return ("hypercube", d)
+    """(name, row) for a graph of a family with a closed form, where row(u, vs)
+    gives the closed-form distances from u to the vertices vs; else None."""
+    n = g.n
+    if n >= 2 and graphs.is_complete(g):
+        return "complete", lambda u, vs: closed_forms.complete_graph_distance(n)
+    d = n.bit_length() - 1
+    if d >= 1 and (1 << d) == n and g.edges == graphs.hypercube_graph(d).edges:
+        return "hypercube", lambda u, vs: np.array(
+            [closed_forms.hypercube_distance(d, u, v) for v in vs.tolist()]
+        )
     return None
 
 
-def _check_closed_form(cache: metrics.SpectralCache, family) -> CheckResult:
-    """The spectral route against the family's closed form on all pairs, the
-    spectral side read one row u at a time."""
-    kind, param = family
-    deviations = []
-    for u, vs in _rows(cache.graph.n):
-        spectral = metrics.biharmonic_spectral(cache, u, vs)
-        if kind == "complete":
-            closed = closed_forms.complete_graph_distance(param)
-        else:
-            closed = np.array([closed_forms.hypercube_distance(param, u, v) for v in vs.tolist()])
-        deviations.append(np.max(np.abs(spectral - closed)))
-    worst = _worst(deviations)
-    return CheckResult(
-        name="closed-form-vs-spectral",
-        passed=worst <= CLOSED_FORM_TOLERANCE,
-        detail=f"{kind} family, max deviation {fmt(worst)}",
+def _check_closed_form(family: str, closed, cache: metrics.SpectralCache):
+    """The spectral route against the family's closed form on all pairs, one
+    row u at a time."""
+    worst = _worst(
+        np.max(np.abs(metrics.biharmonic_spectral(cache, u, vs) - closed(u, vs)))
+        for u, vs in _rows(cache.graph.n)
     )
+    return worst <= CLOSED_FORM_TOLERANCE, f"{family} family, max deviation {fmt(worst)}"
+
+
+# Every check of verify_graph, in report order: its name and a function of
+# the state that returns (passed, detail).
+_CHECKS = (
+    ("connectivity-certificate", _check_connectivity),
+    ("four-method-agreement", _check_methods),
+    ("metric-axioms", _check_metric_axioms),
+    ("spectral-bounds", _check_bounds),
+    ("index-consistency", _check_index_consistency),
+    ("index-inequality", _check_brk),
+    ("index-floor", _check_floor),
+    ("edge-monotonicity", _check_monotonicity),
+    ("matrix-tree", _check_matrix_tree),
+    ("pseudoinverse-identities", _check_pinv_identities),
+)
 
 
 def verify_graph(g: graphs.Graph) -> list[CheckResult]:
-    """Run the full check suite; raises DisconnectedGraphError on disconnected input."""
+    """Run the full check suite, plus the closed-form check when g is of a
+    known family; raises DisconnectedGraphError on disconnected input."""
     cache = metrics.build_cache(g)
-    results = [
-        _check_connectivity(cache),
-        _check_methods(cache),
-        _check_metric_axioms(cache),
-        _check_bounds(cache),
-        _check_index_consistency(cache),
-        _check_brk(cache),
-        _check_floor(cache),
-        _check_monotonicity(cache),
-        _check_matrix_tree(g, cache),
-        _check_pinv_identities(cache),
-    ]
+    checks = list(_CHECKS)
     family = _recognize_family(g)
     if family is not None:
-        results.append(_check_closed_form(cache, family))
-    return results
+        checks.append(("closed-form-vs-spectral", partial(_check_closed_form, *family)))
+    return [CheckResult(name, *check(cache)) for name, check in checks]
 
 
 def all_passed(results) -> bool:

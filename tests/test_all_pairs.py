@@ -9,6 +9,7 @@ import pytest
 
 import biharmonic.metrics
 from biharmonic import (
+    all_methods,
     biharmonic_determinant,
     biharmonic_minnorm,
     biharmonic_spectral,
@@ -102,11 +103,16 @@ def test_row_and_pair_reads_agree_exactly():
         row = route(cache, 2, np.array([0, 1, 3, 6]))
         assert row.tolist() == [route(cache, 2, v) for v in (0, 1, 3, 6)]
         assert route(cache, 2, 5) == route(cache, 5, 2)
+    row = all_methods(cache, 2, np.array([0, 1, 3, 6]))
+    pairs = [all_methods(cache, 2, v) for v in (0, 1, 3, 6)]
+    for field in ("spectral", "pinv_entries", "determinant", "min_norm", "max_relative_spread"):
+        assert getattr(row, field).tolist() == [getattr(p, field) for p in pairs], field
 
 
 def test_determinant_row_rejects_its_own_vertex():
-    with pytest.raises(ValueError, match="distinct"):
-        biharmonic_determinant(wheel_graph(5), 1, np.array([0, 1]))
+    for route in (biharmonic_determinant, all_methods):
+        with pytest.raises(ValueError, match="distinct"):
+            route(wheel_graph(5), 1, np.array([0, 1]))
 
 
 def test_closed_form_drop_matches_rebuild(random_suite):

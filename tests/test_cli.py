@@ -160,6 +160,14 @@ class TestIndex:
         out, _ = capsys.readouterr()
         assert out == "B 3.33333333333\nKf 4\nBRK 2.66666666667\nfloor 0.666666666667\n"
 
+    def test_violated_inequality_exit_one(self, graph_file, capsys, monkeypatch):
+        monkeypatch.setattr(biharmonic.metrics, "biharmonic_index_spectral", lambda cache: 0.5)
+        path = graph_file("p3.g", path_graph(3))
+        assert main(["index", path]) == 1
+        _, err = capsys.readouterr()
+        assert err.startswith("error: index inequality violated: 0.5 < ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_passes_exit_zero(self, graph_file, capsys):

@@ -27,7 +27,6 @@ from biharmonic import (
     path_graph,
     wheel_graph,
 )
-from biharmonic.closed_forms import _kernel_aligned_vectors
 
 SQRT2 = math.sqrt(2.0)
 REFERENCE_RELATIVE = 1e-12
@@ -77,8 +76,22 @@ def cartesian_reference(eig1, eig2, u_pair, v_pair):
 
 
 def complement_reference(eig, u, v):
-    """The spectral sum complement_distance typed itself before spectral_sum."""
-    z = _kernel_aligned_vectors(eig)
+    """The spectral sum complement_distance typed itself before spectral_sum,
+    over the eigenpairs after the first, once the kernel basis is rotated so
+    that its first column is the constant unit vector (the Householder
+    reflection below, which complement_distance used to apply)."""
+    z = eig.eigenvectors
+    group = eig.eigenspace_groups[0]
+    if len(group) > 1:
+        cols = np.array(group)
+        block = z[:, cols]
+        mirror = block.T @ np.full(eig.n, 1.0 / np.sqrt(eig.n))
+        mirror[0] -= 1.0
+        weight = mirror @ mirror
+        if weight > 1e-30:
+            block = block @ (np.eye(len(group)) - 2.0 * np.outer(mirror, mirror) / weight)
+        z = z.copy()
+        z[:, cols] = block
     diff = (z[u, 1:] - z[v, 1:]) / (eig.n - eig.eigenvalues[1:])
     return math.sqrt(np.sum(diff * diff))
 

@@ -102,6 +102,24 @@ class TestVerifyGraph:
         assert [r.name for r in failing] == ["four-method-agreement"]
         assert failing[0].detail == "max relative spread nan"
 
+    @pytest.mark.parametrize(
+        "checker, name",
+        [
+            ("check_brk", "index-inequality"),
+            ("check_index_floor", "index-floor"),
+            ("check_edge_monotonicity", "edge-monotonicity"),
+        ],
+    )
+    def test_arithmetic_error_fails_only_its_check(self, monkeypatch, checker, name):
+        def defect(*args):
+            raise ArithmeticError(f"{checker} defect")
+
+        monkeypatch.setattr(biharmonic.metrics, checker, defect)
+        results = verify_graph(wheel_graph(6))
+        assert [r.name for r in results] == BASE_CHECKS
+        failing = [r for r in results if not r.passed]
+        assert [(r.name, r.detail) for r in failing] == [(name, f"{checker} defect")]
+
     def test_all_passed_empty(self):
         assert all_passed([])
 
@@ -155,17 +173,17 @@ class TestMatrixTreeInLogs:
 
     def test_k100_passes(self):
         cache = SpectralCache(complete_graph(100))
-        result = _check_matrix_tree(cache.graph, cache)
-        assert result.passed, result.detail
-        assert result.detail.startswith("tau 1e+196 worst relative defect ")
+        passed, detail = _check_matrix_tree(cache)
+        assert passed, detail
+        assert detail.startswith("tau 1e+196 worst relative defect ")
 
     def test_k150_fails_closed_on_infinite_tau(self):
         # tau(K150) = 150^148, about e^741, is past the largest double as a count.
         cache = SpectralCache(complete_graph(150))
         with pytest.warns(RuntimeWarning):
-            result = _check_matrix_tree(cache.graph, cache)
-        assert not result.passed
-        assert result.detail.startswith("tau inf ")
+            passed, detail = _check_matrix_tree(cache)
+        assert not passed
+        assert detail.startswith("tau inf ")
 
 
 def connected_gnp(n, p, seed):
