@@ -84,12 +84,7 @@ class Graph:
 
 def make_graph(n: int, edges) -> Graph:
     """Build a Graph from any iterable of vertex pairs, normalizing order."""
-    normalized = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        normalized.add(_ordered(int(u), int(v)))
-    return Graph(n=n, edges=frozenset(normalized))
+    return Graph(n=n, edges=frozenset(_ordered(int(u), int(v)) for u, v in edges))
 
 
 def complete_graph(n: int) -> Graph:

@@ -11,10 +11,10 @@ sweep thus costs O(n) numpy steps instead of O(n^2) Python-level rotations,
 and the fixed schedule keeps the output deterministic.
 
 Linear systems go through an explicit Cholesky factorization, and the
-inverse of a triangular factor comes from forward substitution. The log
-determinant of a positive definite matrix is twice the sum of the logs of
-its Cholesky diagonal; a general matrix has one row-pivoted elimination that
-accumulates the sign and the log of each pivot. Either way a determinant far
+inverse of a triangular factor comes from forward substitution. Every
+determinant is of a positive definite matrix (a grounded minor of L or of
+L^2), and its one code path is the Cholesky factor: the log determinant is
+twice the sum of the logs of the factor's diagonal, so a determinant far
 beyond the range of a double (the squared-Laplacian minors of dense graphs
 with a hundred vertices) still has a finite logarithm. At the matrix sizes
 this package targets (up to a few hundred vertices) these small dense
@@ -241,45 +241,20 @@ def triangular_inverse(low: np.ndarray) -> np.ndarray:
     return inv
 
 
-def spd_solve(a, b) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a via Cholesky."""
-    return cholesky_solve(cholesky(a), b)
+def cholesky_log_det(low: np.ndarray) -> float:
+    """log det(R R^T) from the Cholesky factor R: twice the sum of the logs
+    of its diagonal, finite far beyond the range of a double."""
+    return 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
-def slogdet(a) -> tuple[float, float]:
-    """Sign and natural log of the absolute determinant of a square matrix,
-    by row-pivoted Gaussian elimination; a singular matrix gives (0, -inf).
+def principal_minor_det(a, removed=()) -> float:
+    """Determinant of ``a`` with the listed rows and columns deleted, as exp
+    of the :func:`cholesky_log_det` of the kept block; it is inf once the
+    determinant exceeds the largest double.
 
-    Each step takes the entry of largest magnitude in the current column as
-    the pivot, swaps its row up (one sign flip) and subtracts the rank-one
-    Schur complement from the trailing block only. Accumulating log|pivot|
-    instead of the product keeps determinants beyond the range of a double
-    finite in the log domain.
-    """
-    a = np.array(a, dtype=float)
-    n = _check_square(a)
-    sign, logabs = 1.0, 0.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = a[p, k]
-        if pivot == 0.0:
-            return 0.0, -np.inf
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            sign = -sign
-        if pivot < 0.0:
-            sign = -sign
-        logabs += math.log(abs(pivot))
-        if k + 1 < n:
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / pivot, a[k, k + 1 :])
-    return sign, logabs
-
-
-def principal_minor_slogdet(a, removed=()) -> tuple[float, float]:
-    """:func:`slogdet` of ``a`` with the listed rows and columns deleted.
-
-    ``removed`` is any iterable of 0-based indices; the determinant of the
-    empty matrix is 1 by convention, so its result is (1, 0).
+    ``removed`` is any iterable of 0-based indices. The kept block must be
+    symmetric positive definite, or :func:`cholesky` raises
+    ``numpy.linalg.LinAlgError``. The empty minor has determinant 1.
     """
     a = np.asarray(a, dtype=float)
     n = _check_square(a)
@@ -290,14 +265,4 @@ def principal_minor_slogdet(a, removed=()) -> tuple[float, float]:
             raise ValueError(f"index {i} out of range for a {n}x{n} matrix")
         drop.add(i)
     keep = [i for i in range(n) if i not in drop]
-    if not keep:
-        return 1.0, 0.0
-    return slogdet(a[np.ix_(keep, keep)])
-
-
-def principal_minor_det(a, removed=()) -> float:
-    """Determinant of ``a`` with the listed rows and columns deleted, as
-    sign * exp(log|det|) from :func:`principal_minor_slogdet`; it is inf once
-    the determinant exceeds the largest double."""
-    sign, logabs = principal_minor_slogdet(a, removed)
-    return sign * float(np.exp(logabs))
+    return float(np.exp(cholesky_log_det(cholesky(a[np.ix_(keep, keep)]))))

@@ -49,6 +49,7 @@ from .graphs import DisconnectedGraphError, Graph, is_connected, make_graph
 from .linalg import (
     EigenDecomposition,
     cholesky,
+    cholesky_log_det,
     eigendecompose,
     symmetrize,
     triangular_inverse,
@@ -134,7 +135,7 @@ class SpectralCache:
     def log_tree_count(self) -> float:
         """log tau: the log determinant of L without row and column 0, which
         is positive definite on a connected graph."""
-        return _log_det(cholesky(self.laplacian[1:, 1:]))
+        return cholesky_log_det(cholesky(self.laplacian[1:, 1:]))
 
     @cached_property
     def shifted_inverse(self) -> np.ndarray:
@@ -160,7 +161,7 @@ class SpectralCache:
             n = self.graph.n
             keep = np.arange(n) != u
             low = cholesky(self.laplacian_squared[np.ix_(keep, keep)])
-            log_minor = _log_det(low)
+            log_minor = cholesky_log_det(low)
             inverse_diagonal = np.sum(triangular_inverse(low) ** 2, axis=0)
             row = np.zeros(n)
             row[keep] = np.exp(
@@ -168,11 +169,6 @@ class SpectralCache:
             )
             self._grounded[u] = (log_minor, row)
         return self._grounded[u]
-
-
-def _log_det(low: np.ndarray) -> float:
-    """log det(R R^T) from the Cholesky factor R."""
-    return 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def has_spectral_gap(w: np.ndarray) -> bool:
@@ -218,6 +214,13 @@ def _check_vertex(n: int, u: int) -> int:
     if not 0 <= u < n:
         raise ValueError(f"vertex {u} out of range [0, {n})")
     return u
+
+
+def _require_distinct(u: int, v, what: str) -> None:
+    """ValueError naming what needs distinct vertices when the checked v, a
+    vertex or an integer array of vertices, is or holds u."""
+    if v == u if isinstance(v, int) else u in v:
+        raise ValueError(f"{what} needs distinct vertices")
 
 
 def _per_vertex(values):
@@ -272,11 +275,10 @@ def biharmonic_determinant(graph_or_cache, u: int, v):
     result is exactly symmetric.
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    vs = np.atleast_1d(v)
-    if np.any(vs == u):
-        raise ValueError("the determinant formula requires distinct vertices")
-    values = np.array([cache.grounded(min(u, x))[1][max(u, x)] for x in vs.tolist()])
-    return values if np.ndim(v) else values.item()
+    _require_distinct(u, v, "the determinant formula")
+    values = [cache.grounded(min(u, x))[1][max(u, x)] for x in np.atleast_1d(v).tolist()]
+    # Shaped like v; [()] turns the 0-d array of a single vertex into a scalar.
+    return _per_vertex(np.array(values).reshape(np.shape(v))[()])
 
 
 def biharmonic_minnorm(graph_or_cache, u: int, v):
@@ -322,8 +324,7 @@ def all_methods(graph_or_cache, u: int, v) -> MethodReport:
     """Run all four distance characterizations on u against a vertex v or an
     array of vertices v, none of them u."""
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    if (np.asarray(v) == u).any():
-        raise ValueError("cross-method comparison requires distinct vertices")
+    _require_distinct(u, v, "cross-method comparison")
     values = (
         biharmonic_spectral(cache, u, v),
         biharmonic_pinv_entries(cache, u, v),
@@ -428,8 +429,7 @@ class BoundsReport:
 
 def bounds_report(graph_or_cache, u: int, v) -> BoundsReport:
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    if (np.asarray(v) == u).any():
-        raise ValueError("bounds require distinct vertices")
+    _require_distinct(u, v, "a bounds report")
     w = cache.eig.eigenvalues
     z = cache.eig.eigenvectors
     lower = float(np.sqrt(2.0) / w[-1])
@@ -501,8 +501,7 @@ def _attains(b: float, bound: float, name: str) -> bool:
 
 def _nonedge(graph_or_cache, e: tuple[int, int]) -> tuple[SpectralCache, int, int]:
     cache, u, v = _cache_and_pair(graph_or_cache, *e)
-    if u == v:
-        raise ValueError("an edge needs distinct endpoints")
+    _require_distinct(u, v, "an edge")
     if cache.graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is already an edge")
     return cache, u, v
