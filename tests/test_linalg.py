@@ -204,10 +204,29 @@ class TestPrincipalMinorDet:
         assert principal_minor_det(a) > 0
         assert principal_minor_det(a, {2}) > 0
 
-    def test_indefinite_or_singular_raises(self):
-        for a in ([[0.0, 1.0], [1.0, 0.0]], np.ones((3, 3))):
+    def test_zero_diagonal_fallback(self):
+        # There is no pivoting fallback: a zero pivot means the minor is not
+        # positive definite, and the Cholesky factor refuses it.
+        a = np.array(
+            [
+                [0.0, 2.0, 0.0],
+                [2.0, 0.0, 1.0],
+                [0.0, 1.0, 0.0],
+            ]
+        )
+        for m in ([[0.0, 1.0], [1.0, 0.0]], a):
             with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-                principal_minor_det(a)
+                principal_minor_det(m)
+        # Removing the zero-diagonal block leaves a positive definite minor.
+        assert abs(principal_minor_det(a + np.diag([0.0, 5.0, 0.0]), {0, 2}) - 5.0) <= 1e-14
+
+    def test_singular(self):
+        ones = np.ones((3, 3))
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            principal_minor_det(ones)
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            principal_minor_det(ones, {0})
+        assert principal_minor_det(ones, {0, 1}) == 1.0
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -406,6 +425,15 @@ class TestLogDeterminant:
         assert abs(logdet - 400 * np.log(10.0)) <= 1e-12 * logdet
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert principal_minor_det(1e10 * np.eye(41), (0,)) == np.inf
+
+    def test_sign_and_singular(self):
+        # The log-det is taken of positive definite matrices only, so its sign
+        # is always +1: a negative or zero determinant fails in the factor.
+        for a in ([[0.0, 1.0], [1.0, 0.0]], np.ones((3, 3))):
+            with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+                cholesky_log_det(cholesky(a))
+        assert cholesky_log_det(cholesky(np.eye(2))) == 0.0
+        assert cholesky_log_det(cholesky(np.eye(2)[:0, :0])) == 0.0
 
 
 class TestSlogdetAgainstNumpy:
