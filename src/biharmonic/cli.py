@@ -32,18 +32,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_METHODS = {
-    "spectral": metrics.biharmonic_spectral,
-    "pinv": metrics.biharmonic_pinv_entries,
-    "det": metrics.biharmonic_determinant,
-    "minnorm": metrics.biharmonic_minnorm,
-}
-
-
 def cmd_dist(args) -> int:
     g = graphs.read_edge_list(args.path)
     cache = metrics.SpectralCache(g)
-    u, v = metrics._check_vertex(g.n, args.u), metrics._check_vertex(g.n, args.v)
+    u, v = metrics._check_vertices(g.n, args.u), metrics._check_vertices(g.n, args.v)
     if u == v and args.method in ("det", "all"):
         print(
             "warning: distance from a vertex to itself is 0 by definition; "
@@ -51,12 +43,12 @@ def cmd_dist(args) -> int:
             file=sys.stderr,
         )
     if args.method != "all":
-        rows = {args.method: 0.0 if u == v else _METHODS[args.method](cache, u, v)}
+        rows = {args.method: 0.0 if u == v else metrics.ROUTES[args.method](cache, u, v)}
     elif u == v:
-        rows = dict.fromkeys([*_METHODS, "spread"], 0.0)
+        rows = dict.fromkeys([*metrics.ROUTES, "spread"], 0.0)
     else:
         report = metrics.all_methods(cache, u, v)
-        rows = dict(zip([*_METHODS, "spread"], [*report.values(), report.max_relative_spread]))
+        rows = dict(zip([*metrics.ROUTES, "spread"], [*report.values(), report.max_relative_spread]))
     bad = [f"{name} {fmt(x)}" for name, x in rows.items() if not np.isfinite(x)]
     if bad:
         raise ArithmeticError(f"non-finite result: {', '.join(bad)}")
@@ -127,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("v", type=int)
     dist.add_argument(
         "--method",
-        choices=[*_METHODS, "all"],
+        choices=[*metrics.ROUTES, "all"],
         default="pinv",
         help="computational route (default pinv); 'all' cross-checks every route",
     )

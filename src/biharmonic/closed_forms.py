@@ -5,7 +5,8 @@ graphs of finite abelian groups all have explicitly known Laplacian spectra,
 so their distances can be evaluated without running an eigensolver on the
 assembled graph. Each formula only states its eigenpairs (the eigenvector
 entries at u and at v, and the nonzero eigenvalues) and reduces them through
-metrics.spectral_sum, as the spectral route does. Every formula is validated
+metrics.spectral_sum, as the spectral route does, and takes v as one vertex
+or an integer array of vertices as the routes do. Every formula is validated
 against the spectral route in the test suite; agreement is the ground truth
 for the normalization choices documented on the individual functions.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .graphs import CayleySpec, DisconnectedGraphError
 from .linalg import EigenDecomposition
-from .metrics import _check_vertex, has_spectral_gap, spectral_sum
+from .metrics import _check_vertices, _per_vertex, has_spectral_gap, spectral_sum
 
 
 def complete_graph_distance(n: int) -> float:
@@ -32,31 +33,15 @@ def complete_graph_distance(n: int) -> float:
     return float(np.sqrt(2.0) / n)
 
 
-def _cube_vertex(d: int, x) -> int:
-    """The index of a d-cube vertex; its bit i is coordinate i."""
-    if isinstance(x, str):
-        if len(x) != d or any(ch not in "01" for ch in x):
-            raise ValueError(f"expected a {d}-character bit string, got {x!r}")
-        return int(x[::-1], 2)
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < (1 << d):
-            raise ValueError(f"vertex index {x} out of range for a {d}-cube")
-        return int(x)
-    bits = tuple(int(b) for b in x)
-    if len(bits) != d or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"expected {d} bits, got {x!r}")
-    return sum(b << i for i, b in enumerate(bits))
-
-
 @functools.cache
 def _cube(d: int) -> CayleySpec:
     """Z_2^d with the unit vectors as connection set: the d-cube."""
     return CayleySpec((2,) * d, tuple(tuple(int(i == j) for i in range(d)) for j in range(d)))
 
 
-def hypercube_distance(d: int, u, v) -> float:
-    """Distance on the d-cube between vertices given as bit strings (str,
-    index, or bit sequence).
+def hypercube_distance(d: int, u, v):
+    """Distance on the d-cube between vertices given as an index, a bit
+    sequence or a bit string (character i is coordinate i), or to a row v.
 
     The d-cube is the Cayley graph of Z_2^d on the unit vectors, so this is
     cayley_distance on that group: the parity characters (-1)^(I . x) of
@@ -67,10 +52,19 @@ def hypercube_distance(d: int, u, v) -> float:
     d = int(d)
     if d < 1:
         raise ValueError(f"hypercube dimension must be positive, got {d}")
-    return cayley_distance(_cube(d), _cube_vertex(d, u), _cube_vertex(d, v))
+    return cayley_distance(_cube(d), _bits(d, u), _bits(d, v))
 
 
-def complement_distance(eig: EigenDecomposition, u: int, v: int) -> float:
+def _bits(d: int, x):
+    """x, with a bit string read as its vertex index (character i is bit i)."""
+    if not isinstance(x, str):
+        return x
+    if len(x) != d or any(ch not in "01" for ch in x):
+        raise ValueError(f"expected a {d}-character bit string, got {x!r}")
+    return int(x[::-1], 2)
+
+
+def complement_distance(eig: EigenDecomposition, u: int, v):
     """Distance on the complement of G, computed from G's eigendecomposition.
 
     On 1^perp, the vectors orthogonal to the constant vector, the
@@ -83,24 +77,25 @@ def complement_distance(eig: EigenDecomposition, u: int, v: int) -> float:
     to stay below n.
     """
     n = eig.n
-    u, v = _check_vertex(n, u), _check_vertex(n, v)
+    u, v = _check_vertices(n, u), _check_vertices(n, v)
     gaps = n - eig.eigenvalues
     if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps[1:])))):
         raise DisconnectedGraphError(
             "complement is disconnected (largest Laplacian eigenvalue reaches n)"
         )
     z = eig.eigenvectors
-    return float(spectral_sum(z[u], z[v], gaps))
+    return _per_vertex(spectral_sum(z[u], z[v], gaps))
 
 
 def cartesian_distance(
     eig1: EigenDecomposition,
     eig2: EigenDecomposition,
     u_pair: tuple[int, int],
-    v_pair: tuple[int, int],
-) -> float:
+    v_pair: tuple,
+):
     """Distance on the Cartesian product of two connected graphs, computed
-    from the factor eigendecompositions.
+    from the factor eigendecompositions. Each coordinate of v_pair may be
+    an integer array of factor vertices, for a row of distances.
 
     Product eigenpairs are (lambda_i + mu_j, z_i tensor y_j); the pair
     (i, j) = (1, 1), flat index 0 of the outer products, is the product
@@ -111,12 +106,14 @@ def cartesian_distance(
     if not (has_spectral_gap(w1) and has_spectral_gap(w2)):
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
-    u1, u2 = _check_vertex(eig1.n, u_pair[0]), _check_vertex(eig2.n, u_pair[1])
-    v1, v2 = _check_vertex(eig1.n, v_pair[0]), _check_vertex(eig2.n, v_pair[1])
     z1, z2 = eig1.eigenvectors, eig2.eigenvectors
-    at_u = np.outer(z1[u1], z2[u2]).ravel()[1:]
-    at_v = np.outer(z1[v1], z2[v2]).ravel()[1:]
-    return float(spectral_sum(at_u, at_v, np.add.outer(w1, w2).ravel()[1:]))
+
+    def at(pair):  # the product eigenvectors at a vertex pair, one row per pair
+        x1, x2 = _check_vertices(eig1.n, pair[0]), _check_vertices(eig2.n, pair[1])
+        outer = z1[x1][..., :, None] * z2[x2][..., None, :]
+        return outer.reshape(*outer.shape[:-2], -1)[..., 1:]
+
+    return _per_vertex(spectral_sum(at(u_pair), at(v_pair), np.add.outer(w1, w2).ravel()[1:]))
 
 
 def _unit_root(numerator: int, m: int) -> complex:
@@ -156,29 +153,30 @@ def character_table(spec: CayleySpec) -> CharacterTable:
     return CharacterTable(spec.group_order, chars, alpha)
 
 
-def _to_element(spec: CayleySpec, x) -> int:
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < spec.group_order:
-            raise ValueError(f"element index {x} out of range [0, {spec.group_order})")
-        return int(x)
-    return spec.element_index(tuple(int(c) for c in x))
+def _to_element(spec: CayleySpec, x):
+    """x checked as element indices; a residue tuple or list is one element."""
+    if isinstance(x, (tuple, list)):
+        x = spec.element_index(x)
+    return _check_vertices(spec.group_order, x)
 
 
 @functools.cache
 def _cayley_spectrum(spec: CayleySpec) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the nontrivial characters and their Laplacian eigenvalues
-    |S| - alpha(chi), kept per spec. Raises DisconnectedGraphError when the
-    connection set S does not generate the group."""
+    """The nontrivial characters, one contiguous row per element, and their
+    Laplacian eigenvalues |S| - alpha(chi), kept per spec. Raises
+    DisconnectedGraphError when the connection set S does not generate the group."""
     table = character_table(spec)
     gaps = len(spec.connection_set) - table.adjacency_eigenvalues
     if not has_spectral_gap(np.sort(gaps)):
         raise DisconnectedGraphError(
             "connection set does not generate the group (zero spectral gap)"
         )
-    return table.characters[1:], gaps[1:]
+    rows = np.ascontiguousarray(table.characters[1:].T)
+    rows.flags.writeable = False
+    return rows, gaps[1:]
 
 
-def cayley_distance(spec: CayleySpec, u, v) -> float:
+def cayley_distance(spec: CayleySpec, u, v):
     """Distance on the Cayley graph of a finite abelian group, from characters.
 
     Nontrivial characters chi are the Laplacian eigenvectors, with eigenvalue
@@ -187,9 +185,9 @@ def cayley_distance(spec: CayleySpec, u, v) -> float:
     order. The division accounts for characters having squared norm N
     rather than 1.
 
-    Vertices may be given as residue tuples or as element indices.
+    Elements are residue tuples or indices; v may also be an integer array
+    of indices, for the distances from u to each.
     """
-    chars, gaps = _cayley_spectrum(spec)
-    ui = _to_element(spec, u)
-    vi = _to_element(spec, v)
-    return float(spectral_sum(chars[:, ui], chars[:, vi], gaps)) / math.sqrt(spec.group_order)
+    rows, gaps = _cayley_spectrum(spec)
+    u, v = _to_element(spec, u), _to_element(spec, v)
+    return _per_vertex(spectral_sum(rows[u], rows[v], gaps) / math.sqrt(spec.group_order))

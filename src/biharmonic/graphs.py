@@ -188,10 +188,7 @@ class CayleySpec:
             raise ValueError(f"cyclic orders must be positive, got {orders}")
         members = set()
         for s in self.connection_set:
-            if len(s) != len(orders):
-                raise ValueError(f"element {s} has wrong arity for orders {orders}")
-            if any(not 0 <= x < m for x, m in zip(s, orders)):
-                raise ValueError(f"element {s} has a residue out of range for {orders}")
+            self.element_index(s)  # raises on a wrong arity or residue
             if all(x == 0 for x in s):
                 raise ValueError("connection set must not contain the identity")
             if s in members:
@@ -210,11 +207,13 @@ class CayleySpec:
 
     def element_index(self, element: tuple[int, ...]) -> int:
         """Mixed-radix index; the first coordinate is least significant."""
+        if len(element) != len(self.cyclic_orders):
+            raise ValueError(f"element {element} has wrong arity for orders {self.cyclic_orders}")
         idx = 0
         stride = 1
         for x, m in zip(element, self.cyclic_orders):
-            if not 0 <= x < m:
-                raise ValueError(f"residue {x} out of range for order {m}")
+            if not (isinstance(x, (int, np.integer)) and 0 <= x < m):
+                raise ValueError(f"residue {x!r} out of range for order {m}")
             idx += x * stride
             stride *= m
         return idx

@@ -30,7 +30,7 @@ import numpy as np
 
 SWEEP_TOLERANCE = 1e-12
 MAX_SWEEPS = 100
-GROUPING_FACTOR = 1e-8
+GROUPING_FACTOR = 1e-8  # equal eigenvalues: groups here, metrics.has_spectral_gap
 
 
 def symmetrize(a) -> np.ndarray:

@@ -38,6 +38,7 @@ here rejects.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +48,7 @@ import numpy as np
 
 from .graphs import DisconnectedGraphError, Graph, is_connected, make_graph
 from .linalg import (
+    GROUPING_FACTOR,
     EigenDecomposition,
     cholesky,
     cholesky_log_det,
@@ -55,7 +57,6 @@ from .linalg import (
     triangular_inverse,
 )
 
-ZERO_EIGENVALUE_FACTOR = 1e-8
 ATTAINMENT_TOLERANCE = 1e-9
 ORTHOGONALITY_TOLERANCE = 1e-8
 RADICAND_FLOOR = -1e-12
@@ -173,9 +174,9 @@ class SpectralCache:
 
 def has_spectral_gap(w: np.ndarray) -> bool:
     """True when the second-smallest of the ascending Laplacian eigenvalues w
-    is clearly nonzero, which certifies a connected graph (a single vertex
-    always is). A nan eigenvalue gives False."""
-    return len(w) < 2 or bool(w[1] > ZERO_EIGENVALUE_FACTOR * max(1.0, float(w[-1])))
+    is clearly nonzero (eigendecompose would not group it with the kernel),
+    which certifies a connected graph. A nan eigenvalue gives False."""
+    return len(w) < 2 or bool(w[1] > GROUPING_FACTOR * max(1.0, float(w[-1])))
 
 
 def build_cache(g: Graph) -> SpectralCache:
@@ -201,19 +202,22 @@ def _cache_and_pair(graph_or_cache, u: int, v) -> tuple[SpectralCache, int, obje
     the checked v, a vertex or an integer array of vertices."""
     cache = _as_cache(graph_or_cache)
     n = cache.graph.n
-    if isinstance(v, (int, np.integer)) or not np.ndim(v):
-        return cache, _check_vertex(n, u), _check_vertex(n, v)
-    vs = np.asarray(v, dtype=int)
-    if vs.size and not (0 <= vs.min() and vs.max() < n):
-        raise ValueError(f"vertices {vs.tolist()} out of range [0, {n})")
-    return cache, _check_vertex(n, u), vs
+    return cache, _check_vertices(n, u), _check_vertices(n, v)
 
 
-def _check_vertex(n: int, u: int) -> int:
-    u = int(u)
-    if not 0 <= u < n:
-        raise ValueError(f"vertex {u} out of range [0, {n})")
-    return u
+def _check_vertices(n: int, v):
+    """v checked as one vertex (an int comes back) or an integer array of
+    vertices (any empty array is one) of 0..n-1; ValueError otherwise."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        vs = np.asarray(v)
+        if vs.size and not (vs.dtype.kind in "iu" and 0 <= vs.min() and vs.max() < n):
+            raise ValueError(f"vertices {v!r} are not all integers in [0, {n})") from None
+        return vs.astype(int, copy=False)
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range [0, {n})")
+    return v
 
 
 def _require_distinct(u: int, v, what: str) -> None:
@@ -226,7 +230,9 @@ def _require_distinct(u: int, v, what: str) -> None:
 def _per_vertex(values):
     """A route's result: the array of values for an array of vertices v, a
     Python scalar for a single vertex v (whose indexing gave a numpy scalar)."""
-    return values if isinstance(values, np.ndarray) else values.item()
+    if isinstance(values, np.ndarray):
+        return values
+    return float(values) if isinstance(values, np.floating) else values.item()
 
 
 def _sqrt_clamped(radicand):
@@ -295,6 +301,15 @@ def biharmonic_minnorm(graph_or_cache, u: int, v):
     return _per_vertex(np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
+# The four routes by their command-line names, in MethodReport order.
+ROUTES = {
+    "spectral": biharmonic_spectral,
+    "pinv": biharmonic_pinv_entries,
+    "det": biharmonic_determinant,
+    "minnorm": biharmonic_minnorm,
+}
+
+
 def relative_spread(values):
     """(max - min) / max over the routes' values, elementwise when they are
     arrays; nan as soon as any value is nan or inf."""
@@ -321,16 +336,11 @@ class MethodReport:
 
 
 def all_methods(graph_or_cache, u: int, v) -> MethodReport:
-    """Run all four distance characterizations on u against a vertex v or an
-    array of vertices v, none of them u."""
+    """Run the four routes of ROUTES on u against a vertex v or an array of
+    vertices v, none of them u."""
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     _require_distinct(u, v, "cross-method comparison")
-    values = (
-        biharmonic_spectral(cache, u, v),
-        biharmonic_pinv_entries(cache, u, v),
-        biharmonic_determinant(cache, u, v),
-        biharmonic_minnorm(cache, u, v),
-    )
+    values = [route(cache, u, v) for route in ROUTES.values()]
     return MethodReport((u, v), *values, _per_vertex(relative_spread(values)))
 
 

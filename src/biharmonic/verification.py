@@ -218,9 +218,7 @@ def _recognize_family(g: graphs.Graph):
         return "complete", lambda u, vs: closed_forms.complete_graph_distance(n)
     d = n.bit_length() - 1
     if d >= 1 and (1 << d) == n and g.edges == graphs.hypercube_graph(d).edges:
-        return "hypercube", lambda u, vs: np.array(
-            [closed_forms.hypercube_distance(d, u, v) for v in vs.tolist()]
-        )
+        return "hypercube", partial(closed_forms.hypercube_distance, d)
     return None
 
 

@@ -118,8 +118,7 @@ class TestDistFailsClosed:
         def route(cache, u, v):
             return bad
 
-        monkeypatch.setitem(biharmonic.cli._METHODS, "det", route)
-        monkeypatch.setattr(biharmonic.metrics, "biharmonic_determinant", route)
+        monkeypatch.setitem(biharmonic.metrics.ROUTES, "det", route)
         path = graph_file("w5.g", wheel_graph(5))
         assert main(["dist", path, "1", "3", "--method", method]) == 1
         out, err = capsys.readouterr()
@@ -193,9 +192,7 @@ class TestVerify:
         assert "disconnected" in err
 
     def test_infinite_route_exit_one(self, graph_file, capsys, monkeypatch):
-        monkeypatch.setattr(
-            biharmonic.metrics, "biharmonic_determinant", lambda cache, u, v: float("inf")
-        )
+        monkeypatch.setitem(biharmonic.metrics.ROUTES, "det", lambda cache, u, v: float("inf"))
         path = graph_file("k4.g", complete_graph(4))
         assert main(["verify", path]) == 1
         out, _ = capsys.readouterr()

@@ -102,6 +102,14 @@ def assert_matches_reference(closed, reference, pairs):
         assert abs(closed(u, v) - expected) <= REFERENCE_RELATIVE * expected, (u, v)
 
 
+def assert_rows_equal_pairs(closed, n):
+    """One row call from each u equals, exactly, its per-pair calls."""
+    for u in range(n - 1):
+        vs = np.arange(u + 1, n)
+        row = closed(u, vs)
+        assert np.array_equal(row, [closed(u, v) for v in vs.tolist()]), u
+
+
 def z2_power_spec(d):
     basis = tuple(
         tuple(1 if i == j else 0 for i in range(d)) for j in range(d)
@@ -162,6 +170,12 @@ class TestHypercube:
             hypercube_distance(2, "012", "00")
         with pytest.raises(ValueError, match="out of range"):
             hypercube_distance(2, 4, 0)
+        with pytest.raises(ValueError, match="arity"):
+            hypercube_distance(3, (1, 0, 0, 1), 0)
+        with pytest.raises(ValueError, match="arity"):
+            hypercube_distance(3, 0, (1, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            hypercube_distance(2, (0, 2), 0)
 
 
 class TestComplement:
@@ -357,6 +371,23 @@ class TestCayleyDistance:
         spec = z2_power_spec(2)
         assert cayley_distance(spec, 3, 3) == 0.0
 
+    def test_bad_elements(self):
+        spec = CayleySpec(cyclic_orders=(2, 4), connection_set=((1, 0), (0, 1), (0, 3)))
+        with pytest.raises(ValueError, match="arity"):
+            cayley_distance(spec, (0, 0), (1, 3, 99))
+        with pytest.raises(ValueError, match="arity"):
+            cayley_distance(spec, (1,), (0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            cayley_distance(spec, (0, 0), (1, 4))
+        with pytest.raises(ValueError, match="out of range"):
+            cayley_distance(spec, 0, 8)
+        with pytest.raises(ValueError, match="integers"):
+            cayley_distance(spec, 0, 2.5)
+        with pytest.raises(ValueError, match="integers"):
+            cayley_distance(spec, 0, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            cayley_distance(spec, (0, 0.5), 1)
+
     def test_nongenerating_rejected(self):
         spec = CayleySpec(cyclic_orders=(6,), connection_set=((2,), (4,)))
         with pytest.raises(DisconnectedGraphError, match="generate"):
@@ -375,6 +406,7 @@ class TestLoopReferences:
             partial(hypercube_reference, d),
             itertools.combinations(range(1 << d), 2),
         )
+        assert_rows_equal_pairs(partial(hypercube_distance, d), 1 << d)
 
     def test_cayley_on_z6_z8(self):
         assert_matches_reference(
@@ -382,6 +414,7 @@ class TestLoopReferences:
             partial(cayley_reference, QUERIES_SPEC),
             itertools.combinations(range(48), 2),
         )
+        assert_rows_equal_pairs(partial(cayley_distance, QUERIES_SPEC), 48)
 
     def test_cartesian_cycle_times_wheel(self):
         eigs = (eigendecompose(cycle_graph(6).laplacian()), eigendecompose(wheel_graph(8).laplacian()))
@@ -390,6 +423,11 @@ class TestLoopReferences:
             partial(cartesian_reference, *eigs),
             itertools.combinations(itertools.product(range(6), range(8)), 2),
         )
+        v1, v2 = np.divmod(np.arange(48), 8)
+        for u in itertools.product(range(6), range(8)):
+            row = cartesian_distance(*eigs, u, (v1, v2))
+            pairs = [cartesian_distance(*eigs, u, v) for v in zip(v1.tolist(), v2.tolist())]
+            assert np.array_equal(row, pairs), u
 
     def test_complement_of_path(self):
         eig = eigendecompose(path_graph(30).laplacian())
@@ -398,6 +436,7 @@ class TestLoopReferences:
             partial(complement_reference, eig),
             itertools.combinations(range(30), 2),
         )
+        assert_rows_equal_pairs(partial(complement_distance, eig), 30)
 
 
 class TestFourFamilyAgreement:

@@ -133,6 +133,21 @@ class TestFourMethods:
         with pytest.raises(ValueError, match="out of range"):
             biharmonic_determinant(g, -1, 1)
 
+    def test_non_integer_vertex_rejected(self):
+        cache = build_cache(path_graph(5))
+        with pytest.raises(ValueError, match="integers"):
+            biharmonic_pinv_entries(cache, 0.9, 3)
+        with pytest.raises(ValueError, match="integers"):
+            resistance_distance(cache, 0, 4.99)
+        with pytest.raises(ValueError, match="integers"):
+            all_methods(cache, 0, np.array([1.5, 3.7]))
+        with pytest.raises(ValueError, match="integers"):
+            biharmonic_spectral(cache, 0, [1, 2.5])
+        with pytest.raises(ValueError, match="integers"):
+            biharmonic_minnorm(cache, 0, np.array([True, False]))
+        assert biharmonic_spectral(cache, 0, np.array([])).shape == (0,)
+        assert biharmonic_spectral(cache, np.int32(0), np.array(3)) == biharmonic_spectral(cache, 0, 3)
+
     def test_standalone_graph_paths(self):
         g = cycle_graph(5)
         cache = build_cache(g)

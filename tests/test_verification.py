@@ -94,9 +94,7 @@ class TestVerifyGraph:
         assert not all_passed(results)
 
     def test_infinite_route_fails_closed(self, monkeypatch):
-        monkeypatch.setattr(
-            biharmonic.metrics, "biharmonic_determinant", lambda cache, u, v: float("inf")
-        )
+        monkeypatch.setitem(biharmonic.metrics.ROUTES, "det", lambda cache, u, v: float("inf"))
         results = verify_graph(complete_graph(4))
         failing = [r for r in results if not r.passed]
         assert [r.name for r in failing] == ["four-method-agreement"]
