@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CayleySpec, DisconnectedGraphError
+from .graphs import CayleySpec, DisconnectedGraphError, _as_integer
 from .linalg import EigenDecomposition
 from .metrics import _check_vertices, _per_vertex, has_spectral_gap, spectral_sum
 
@@ -27,7 +27,7 @@ from .metrics import _check_vertices, _per_vertex, has_spectral_gap, spectral_su
 def complete_graph_distance(n: int) -> float:
     """Biharmonic distance between any two distinct vertices of the complete
     graph on n vertices: sqrt(2)/n."""
-    n = int(n)
+    n = _as_integer(n, "complete graph order")
     if n < 2:
         raise ValueError(f"a complete graph needs n >= 2 for a vertex pair, got {n}")
     return float(np.sqrt(2.0) / n)
@@ -49,7 +49,7 @@ def hypercube_distance(d: int, u, v):
     the result is sqrt(2)/2, the K_2 value. The character table of a
     dimension is built once and kept, 2^d x 2^d complex numbers.
     """
-    d = int(d)
+    d = _as_integer(d, "hypercube dimension")
     if d < 1:
         raise ValueError(f"hypercube dimension must be positive, got {d}")
     return cayley_distance(_cube(d), _bits(d, u), _bits(d, v))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,6 +22,15 @@ class EdgeListFormatError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """Raised when an operation requires a connected graph."""
+
+
+def _as_integer(x, what: str) -> int:
+    """x as an int when it is a Python or numpy integer; a float or any
+    other value raises ValueError instead of being truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 def _ordered(u: int, v: int) -> tuple[int, int]:
@@ -179,11 +189,9 @@ class CayleySpec:
     connection_set: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cyclic_orders", tuple(int(m) for m in self.cyclic_orders))
-        object.__setattr__(
-            self, "connection_set", tuple(tuple(int(x) for x in s) for s in self.connection_set)
-        )
-        orders = self.cyclic_orders
+        orders = tuple(_as_integer(m, "cyclic order") for m in self.cyclic_orders)
+        object.__setattr__(self, "cyclic_orders", orders)
+        object.__setattr__(self, "connection_set", tuple(tuple(s) for s in self.connection_set))
         if not orders or any(m < 1 for m in orders):
             raise ValueError(f"cyclic orders must be positive, got {orders}")
         members = set()

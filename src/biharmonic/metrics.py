@@ -70,7 +70,7 @@ class SpectralCache:
 
     The graph is the only field; everything derived from it is a cached
     property, computed on first use, or a row memoized by :meth:`grounded`.
-    pinv and pinv2 come from the spectral sum with the kernel direction
+    pinv, pinv2 and pinv3 come from the spectral sum with the kernel direction
     dropped. The determinant and minimum-norm routes read only L^2, the log
     tree count and the inverse of L + J/n, so they never run the eigensolver.
     """
@@ -111,6 +111,10 @@ class SpectralCache:
     @cached_property
     def pinv2(self) -> np.ndarray:
         return self._pinv_power(2)
+
+    @cached_property
+    def pinv3(self) -> np.ndarray:
+        return self._pinv_power(3)
 
     @cached_property
     def laplacian_squared(self) -> np.ndarray:
@@ -202,7 +206,10 @@ def _cache_and_pair(graph_or_cache, u: int, v) -> tuple[SpectralCache, int, obje
     the checked v, a vertex or an integer array of vertices."""
     cache = _as_cache(graph_or_cache)
     n = cache.graph.n
-    return cache, _check_vertices(n, u), _check_vertices(n, v)
+    u = _check_vertices(n, u)
+    if not isinstance(u, int):
+        raise ValueError(f"u must be one vertex, got {u!r}")
+    return cache, u, _check_vertices(n, v)
 
 
 def _check_vertices(n: int, v):
@@ -243,6 +250,12 @@ def _sqrt_clamped(radicand):
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
+def _pair_form(m: np.ndarray, u, v):
+    """(e_u - e_v)' m (e_u - e_v) for a symmetric m, elementwise over
+    vertices or arrays of vertices u and v."""
+    return m[u, u] + m[v, v] - 2.0 * m[u, v]
+
+
 def spectral_sum(at_u, at_v, w):
     """sqrt(sum |a - b|^2 / w^2) over the last axis: the distance from the
     eigenvector entries a at u and b at v and the nonzero eigenvalues w. The
@@ -266,8 +279,7 @@ def biharmonic_spectral(graph_or_cache, u: int, v):
 def biharmonic_pinv_entries(graph_or_cache, u: int, v):
     """Distance read off the entries of the squared pseudoinverse."""
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    p2 = cache.pinv2
-    return _per_vertex(_sqrt_clamped(p2[u, u] + p2[v, v] - 2.0 * p2[u, v]))
+    return _per_vertex(_sqrt_clamped(_pair_form(cache.pinv2, u, v)))
 
 
 def biharmonic_determinant(graph_or_cache, u: int, v):
@@ -398,13 +410,10 @@ def kirchhoff_index(graph_or_cache) -> float:
     return cache.graph.n * float(np.sum(1.0 / w))
 
 
-def resistance_distance(graph_or_cache, u: int, v: int) -> float:
-    """Effective resistance between u and v from pseudoinverse entries."""
+def resistance_distance(graph_or_cache, u: int, v):
+    """Effective resistance from u to a vertex or an array v, from entries of L^+."""
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    if u == v:
-        return 0.0
-    p = cache.pinv
-    return float(p[u, u] + p[v, v] - 2.0 * p[u, v])
+    return _per_vertex(_pair_form(cache.pinv, u, v))
 
 
 @dataclass(frozen=True)
@@ -509,35 +518,53 @@ def _attains(b: float, bound: float, name: str) -> bool:
     return abs(b - bound) <= EQUALITY_TOLERANCE
 
 
-def _nonedge(graph_or_cache, e: tuple[int, int]) -> tuple[SpectralCache, int, int]:
-    cache, u, v = _cache_and_pair(graph_or_cache, *e)
-    _require_distinct(u, v, "an edge")
-    if cache.graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is already an edge")
+def _first_edge(flags, u, v) -> str:
+    """The first edge (u[i], v[i]) whose flag is set, as text."""
+    i = np.argmax(flags)
+    us, vs = np.broadcast_arrays(u, v)
+    return f"({us.flat[i]}, {vs.flat[i]})"
+
+
+def _nonedge(graph_or_cache, e) -> tuple[SpectralCache, object, object]:
+    """The state and the checked endpoints of one nonedge (u, v) or of the
+    nonedges (u[i], v[i]); ValueError, naming the first offending edge, on a
+    loop or an existing edge, and on endpoint arrays of different lengths."""
+    cache = _as_cache(graph_or_cache)
+    u, v = (_check_vertices(cache.graph.n, x) for x in e)
+    if np.ndim(u) and np.ndim(v) and np.shape(u) != np.shape(v):
+        raise ValueError(f"edge endpoint arrays of lengths {len(u)} and {len(v)}")
+    loops = np.equal(u, v)
+    if loops.any():
+        raise ValueError(f"an edge needs distinct vertices, got {_first_edge(loops, u, v)}")
+    edges = cache.laplacian[u, v] != 0
+    if edges.any():
+        raise ValueError(f"{_first_edge(edges, u, v)} is already an edge")
     return cache, u, v
 
 
-def check_edge_monotonicity(graph_or_cache, e: tuple[int, int]) -> tuple[float, float]:
+def check_edge_monotonicity(graph_or_cache, e) -> tuple[float, object]:
     """Return (B(g), B(g+e)) for a nonedge e and check the drop is strict.
 
-    B(g) comes from the state's eigendecomposition, and the drop in closed
-    form from its pseudoinverse P, so a state reused over many edges solves g
-    once and pays O(n^2) per edge. With b = e_u - e_v, y = P b and
-    c = 1 + b'y, adding e gives (L + b b')^+ = P - y y'/c (Meyer, SIAM J.
-    Appl. Math. 24, 1973), and since B = n tr(P^2) the drop is
-    n (2 y'P y / c - (y'y)^2 / c^2).
+    e is one edge (u, v), or endpoint arrays (u, v) for which B(g+e) is the
+    array over the edges (u[i], v[i]); a vertex u with an array v is the row
+    from u. B(g) comes from the state's eigendecomposition, and the drop in
+    closed form from P = L^+: with b = e_u - e_v, y = P b and c = 1 + b'y,
+    adding e gives (L + b b')^+ = P - y y'/c (Meyer, SIAM J. Appl. Math. 24,
+    1973), and since B = n tr(P^2) the drop is
+    n (2 b'P^3 b / c - (b'P^2 b / c)^2), three entries of P, P^2, P^3 each.
     """
     cache, u, v = _nonedge(graph_or_cache, e)
     before = biharmonic_index_spectral(cache)
-    p = cache.pinv
-    y = p[:, u] - p[:, v]
-    c = 1.0 + y[u] - y[v]
-    after = before - cache.graph.n * (2.0 * (y @ p @ y) / c - (y @ y) ** 2 / c**2)
-    if not after < before:
+    c = 1.0 + _pair_form(cache.pinv, u, v)
+    q = _pair_form(cache.pinv2, u, v) / c
+    after = before - cache.graph.n * (2.0 * _pair_form(cache.pinv3, u, v) / c - q * q)
+    failed = ~(after < before)
+    if failed.any():
         raise ArithmeticError(
-            f"adding edge ({u}, {v}) failed to decrease the index: {before!r} -> {after!r}"
+            f"adding edge {_first_edge(failed, u, v)} failed to decrease the index: "
+            f"{before!r} -> {float(np.ravel(after)[np.argmax(failed)])!r}"
         )
-    return before, float(after)
+    return before, _per_vertex(after)
 
 
 def rebuilt_index(graph_or_cache, e: tuple[int, int]) -> float:

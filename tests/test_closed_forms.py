@@ -166,6 +166,12 @@ class TestHypercube:
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="dimension"):
             hypercube_distance(0, 0, 0)
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            hypercube_distance(2.5, 0, 1)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            complete_graph_distance(4.9)
+        assert hypercube_distance(np.int64(2), 0, 1) == hypercube_distance(2, 0, 1)
+        assert complete_graph_distance(np.int64(4)) == complete_graph_distance(4)
         with pytest.raises(ValueError, match="bit string"):
             hypercube_distance(2, "012", "00")
         with pytest.raises(ValueError, match="out of range"):
@@ -387,6 +393,11 @@ class TestCayleyDistance:
             cayley_distance(spec, 0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="out of range"):
             cayley_distance(spec, (0, 0.5), 1)
+        with pytest.raises(ValueError, match="residue 1.7"):
+            CayleySpec((4,), ((1.7,), (3,)))
+        with pytest.raises(ValueError, match="cyclic order must be an integer"):
+            CayleySpec((4.5,), ((1,), (3,)))
+        assert CayleySpec((np.int64(4),), ((np.int64(1),), (3,))) == CayleySpec((4,), ((1,), (3,)))
 
     def test_nongenerating_rejected(self):
         spec = CayleySpec(cyclic_orders=(6,), connection_set=((2,), (4,)))

@@ -148,6 +148,13 @@ class TestFourMethods:
         assert biharmonic_spectral(cache, 0, np.array([])).shape == (0,)
         assert biharmonic_spectral(cache, np.int32(0), np.array(3)) == biharmonic_spectral(cache, 0, 3)
 
+    def test_u_must_be_one_vertex(self):
+        cache = build_cache(path_graph(5))
+        routes = (biharmonic_spectral, biharmonic_pinv_entries, resistance_distance, all_methods)
+        for route in routes:
+            with pytest.raises(ValueError, match="one vertex"):
+                route(cache, np.array([0, 1]), 3)
+
     def test_standalone_graph_paths(self):
         g = cycle_graph(5)
         cache = build_cache(g)
@@ -250,6 +257,8 @@ class TestIndices:
         assert abs(resistance_distance(path_graph(3), 0, 2) - 2.0) <= 1e-12
         assert abs(resistance_distance(complete_graph(4), 1, 2) - 0.5) <= 1e-12
         assert resistance_distance(path_graph(3), 1, 1) == 0.0
+        row = resistance_distance(path_graph(3), 0, np.array([1, 2, 0]))
+        assert row.tolist() == [resistance_distance(path_graph(3), 0, v) for v in (1, 2, 0)]
 
     def test_kirchhoff_matches_pairwise_resistance(self):
         g = wheel_graph(6)
@@ -351,10 +360,28 @@ class TestEdgeMonotonicity:
             check_edge_monotonicity(path_graph(3), (1, 1))
 
     def test_state_and_graph_agree(self):
+        # One edge at a time on the state and on the graph, every nonedge in
+        # one array call, and the row from vertex 0 give the same floats.
         for g in (path_graph(5), k4_minus(), wheel_graph(6)):
             state = build_cache(g)
-            for e in g.nonedges():
+            us, vs = np.array(g.nonedges()).T
+            before, after = check_edge_monotonicity(state, (us, vs))
+            _, row = check_edge_monotonicity(state, (0, vs[us == 0]))
+            assert row.tolist() == after[us == 0].tolist()
+            for e, after_e in zip(g.nonedges(), after.tolist()):
                 assert check_edge_monotonicity(state, e) == check_edge_monotonicity(g, e)
+                assert check_edge_monotonicity(state, e) == (before, after_e)
+
+    def test_bad_edge_arrays_rejected(self):
+        g = path_graph(5)
+        with pytest.raises(ValueError, match=r"distinct vertices, got \(3, 3\)"):
+            check_edge_monotonicity(g, (np.array([0, 3]), np.array([2, 3])))
+        with pytest.raises(ValueError, match=r"\(1, 2\) is already an edge"):
+            check_edge_monotonicity(g, (np.array([0, 1, 2]), np.array([3, 2, 3])))
+        with pytest.raises(ValueError, match=r"lengths 2 and 3"):
+            check_edge_monotonicity(g, (np.array([0, 1]), np.array([2, 3, 4])))
+        with pytest.raises(ValueError, match=r"\(0, 1\) is already an edge"):
+            check_edge_monotonicity(g, (0, np.array([2, 1])))
 
     def test_random_nonedges_strictly_decrease(self, random_suite):
         checked = 0

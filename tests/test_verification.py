@@ -8,6 +8,8 @@ import biharmonic.metrics
 from biharmonic import (
     DisconnectedGraphError,
     all_passed,
+    build_cache,
+    check_edge_monotonicity,
     is_connected,
     complete_graph,
     count_spanning_trees_exhaustive,
@@ -118,6 +120,18 @@ class TestVerifyGraph:
         failing = [r for r in results if not r.passed]
         assert [(r.name, r.detail) for r in failing] == [(name, f"{checker} defect")]
 
+    def test_forced_non_decrease_fails_naming_the_edge(self, monkeypatch):
+        # With P^3 read as zero every drop is -n (b'P^2 b / c)^2 < 0.
+        monkeypatch.setattr(
+            SpectralCache, "pinv3", property(lambda cache: np.zeros_like(cache.pinv))
+        )
+        results = verify_graph(path_graph(4))
+        failing = [r for r in results if not r.passed]
+        assert [r.name for r in failing] == ["edge-monotonicity"]
+        assert failing[0].detail.startswith(
+            "adding edge (0, 2) failed to decrease the index: "
+        )
+
     def test_all_passed_empty(self):
         assert all_passed([])
 
@@ -193,6 +207,34 @@ def connected_gnp(n, p, seed):
         g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if coins[u, v]])
         if is_connected(g):
             return g
+
+
+def per_edge_drop(cache, u, vs):
+    """The drop of adding (u, v) for each v in vs, one edge at a time as
+    n (2 y'P y / c - (y'y)^2 / c^2) with y = P b, b = e_u - e_v, c = 1 + b'y."""
+    p = cache.pinv
+    drops = []
+    for v in vs:
+        y = p[:, u] - p[:, v]
+        c = 1.0 + y[u] - y[v]
+        drops.append(cache.graph.n * (2.0 * (y @ p @ y) / c - (y @ y) ** 2 / c**2))
+    return np.array(drops)
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(200), connected_gnp(200, 0.03, 200)], ids=["P200", "G(200,0.03)"]
+)
+def test_drop_matches_per_edge_reference(g):
+    # Every nonedge at once through the forms b'P^k b, against y'P y and y'y
+    # per edge; on P200 the P^3 form cancels to about 1e-9 relative.
+    cache = build_cache(g)
+    us, vs = np.nonzero(np.triu(cache.laplacian == 0, 1))
+    before, after = check_edge_monotonicity(cache, (us, vs))
+    drop = before - after
+    for u in range(g.n):
+        row = us == u
+        expected = per_edge_drop(cache, u, vs[row])
+        assert np.all(np.abs(drop[row] - expected) <= 1e-8 * expected), u
 
 
 class TestSupportedSizes:
