@@ -45,7 +45,7 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
+        if _as_integer(self.n, "vertex count") < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         for u, v in self.edges:
             if u == v:
@@ -93,8 +93,15 @@ class Graph:
 
 
 def make_graph(n: int, edges) -> Graph:
-    """Build a Graph from any iterable of vertex pairs, normalizing order."""
-    return Graph(n=n, edges=frozenset(_ordered(int(u), int(v)) for u, v in edges))
+    """Build a Graph from any iterable of vertex pairs, normalizing order;
+    an endpoint that is not an integer raises ValueError."""
+    return Graph(
+        n=n,
+        edges=frozenset(
+            _ordered(_as_integer(u, "edge endpoint"), _as_integer(v, "edge endpoint"))
+            for u, v in edges
+        ),
+    )
 
 
 def complete_graph(n: int) -> Graph:

@@ -24,6 +24,7 @@ routines are fast enough and their rounding behavior is easy to reason about.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,15 +253,19 @@ def principal_minor_det(a, removed=()) -> float:
     of the :func:`cholesky_log_det` of the kept block; it is inf once the
     determinant exceeds the largest double.
 
-    ``removed`` is any iterable of 0-based indices. The kept block must be
-    symmetric positive definite, or :func:`cholesky` raises
+    ``removed`` is any iterable of 0-based integer indices; a float or any
+    other value raises ``ValueError``. The kept block must be symmetric
+    positive definite, or :func:`cholesky` raises
     ``numpy.linalg.LinAlgError``. The empty minor has determinant 1.
     """
     a = np.asarray(a, dtype=float)
     n = _check_square(a)
     drop = set()
     for i in removed:
-        i = int(i)
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError(f"index {i!r} is not an integer") from None
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for a {n}x{n} matrix")
         drop.add(i)

@@ -18,8 +18,8 @@ so that `verify` reads all pairs one row u at a time. The state caches what
 the rows share: the eigendecomposition and both pseudoinverses for the
 spectral and pinv routes, the inverse S^-1 of S = L + J/n for the min-norm
 route, and for the determinant route, per vertex u, the log determinant of
-M_u = L^2 without row and column u and the distances from u (n + 1 numbers
-from one Cholesky factorization of M_u, whose factor is dropped). A verify
+M_u = L^2 without row and column u and the distances from u to all v > u
+(n - u numbers from one Cholesky factorization, the factor dropped). A verify
 thus costs one eigensolve and n + 2 Cholesky factorizations (the n minors
 M_u, the tree-count minor of L and S), plus one of S' = L(G+e) + J/n that
 rebuilds the index of the first edge addition as a spot check of its closed
@@ -128,13 +128,10 @@ class SpectralCache:
         so that repeated eigenvalues read off floating point output stay together.
         The kernel index 1 is never a member of either set."""
         groups = self.eig.eigenspace_groups
-        group_of_second = next(i for i, g in enumerate(groups) if 1 in g)
-        last = len(groups) - 1
-        sigma2 = tuple(
-            k + 1 for i in range(group_of_second + 1, len(groups)) for k in groups[i]
-        )
-        sigma_n = tuple(k + 1 for i in range(last) for k in groups[i] if k >= 1)
-        return sigma2, sigma_n
+        n = len(self.eig.eigenvalues)
+        # The groups partition 0..n-1 in order, so each set is one range.
+        end_of_second = next(g[-1] for g in groups if 1 in g)
+        return tuple(range(end_of_second + 2, n + 1)), tuple(range(2, groups[-1][0] + 1))
 
     @cached_property
     def log_tree_count(self) -> float:
@@ -149,17 +146,19 @@ class SpectralCache:
         return symmetrize(x.T @ x)
 
     def grounded(self, u: int) -> tuple[float, np.ndarray]:
-        """(log det M_u, determinant-route distances from u to every vertex),
+        """(log det M_u, determinant-route distances from u to v = u+1 .. n-1),
         where M_u is L^2 without row and column u.
 
         M_u is positive definite on a connected graph, since L^2 is positive
         semidefinite with kernel span(1). By Jacobi's complementary-minor
         identity det((L^2)_-u,-v) = det(M_u) [M_u^-1]_vv, and with the
         Cholesky factor M_u = R R^T the diagonal of M_u^-1 = R^-T R^-1 is the
-        squared column norms of R^-1. So one factorization gives every
+        squared column norms of R^-1. Each v > u sits at row v - 1 of M_u,
+        and columns u.. of R^-1 are the inverse of R's trailing block, so
+        one factorization gives every
         d(u, v)^2 = exp(log det M_u + log [M_u^-1]_vv - log n - 2 log tau),
         in the log domain because the minors overflow a double on dense
-        graphs. Memoized per vertex (n + 1 numbers; the factor is dropped),
+        graphs. Memoized per vertex (n - u numbers; the factor is dropped),
         so the matrix-tree check reads the log determinants the route made.
         """
         if u not in self._grounded:
@@ -167,12 +166,11 @@ class SpectralCache:
             keep = np.arange(n) != u
             low = cholesky(self.laplacian_squared[np.ix_(keep, keep)])
             log_minor = cholesky_log_det(low)
-            inverse_diagonal = np.sum(triangular_inverse(low) ** 2, axis=0)
-            row = np.zeros(n)
-            row[keep] = np.exp(
+            inverse_diagonal = np.sum(triangular_inverse(low[u:, u:]) ** 2, axis=0)
+            tail = np.exp(
                 0.5 * (log_minor + np.log(inverse_diagonal) - np.log(n)) - self.log_tree_count
             )
-            self._grounded[u] = (log_minor, row)
+            self._grounded[u] = (log_minor, tail)
         return self._grounded[u]
 
 
@@ -294,7 +292,7 @@ def biharmonic_determinant(graph_or_cache, u: int, v):
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     _require_distinct(u, v, "the determinant formula")
-    values = [cache.grounded(min(u, x))[1][max(u, x)] for x in np.atleast_1d(v).tolist()]
+    values = [cache.grounded(min(u, x))[1][abs(x - u) - 1] for x in np.atleast_1d(v).tolist()]
     # Shaped like v; [()] turns the 0-d array of a single vertex into a scalar.
     return _per_vertex(np.array(values).reshape(np.shape(v))[()])
 
@@ -453,10 +451,11 @@ def bounds_report(graph_or_cache, u: int, v) -> BoundsReport:
     z = cache.eig.eigenvectors
     lower = float(np.sqrt(2.0) / w[-1])
     upper = float(np.sqrt(2.0) / w[1])
-    value = biharmonic_spectral(cache, u, v)
+    diff = z[u] - z[v]
+    value = _per_vertex(spectral_sum(diff[..., 1:], 0.0, w[1:]))
     sigma2, sigma_n = cache.sigma_sets
     # Eigenvector k - 1 separates u from each v for k in a sigma set, or not.
-    orthogonal = np.abs(z[u] - z[v]) <= ORTHOGONALITY_TOLERANCE
+    orthogonal = np.abs(diff) <= ORTHOGONALITY_TOLERANCE
     return BoundsReport(
         pair=(u, v),
         lower=lower,
@@ -572,8 +571,11 @@ def rebuilt_index(graph_or_cache, e: tuple[int, int]) -> float:
     independent check of the closed form in check_edge_monotonicity, which
     reads g's eigen-based pinv. With S' = L' + J/n, S'^-1 = L'^+ + J/n, so
     B(g+e) = n ||S'^-1 - J/n||_F^2. Subtracting 1/n before squaring keeps
-    the small entries of a dense graph, where ||S'^-1||_F^2 - 1 would cancel."""
+    the small entries of a dense graph, where ||S'^-1||_F^2 - 1 would cancel.
+    Endpoint arrays raise ValueError: this takes one edge."""
     cache, u, v = _nonedge(graph_or_cache, e)
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise ValueError(f"rebuilt_index takes one edge (u, v), got {e!r}")
     g = cache.graph
     augmented = SpectralCache(make_graph(g.n, set(g.edges) | {(min(u, v), max(u, v))}))
     pinv = augmented.shifted_inverse - 1.0 / g.n

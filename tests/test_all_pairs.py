@@ -13,6 +13,7 @@ from biharmonic import (
     biharmonic_determinant,
     biharmonic_minnorm,
     biharmonic_spectral,
+    bounds_report,
     build_cache,
     check_edge_monotonicity,
     path_graph,
@@ -112,6 +113,10 @@ def test_row_and_pair_reads_agree_exactly():
     pairs = [all_methods(cache, 2, v) for v in (0, 1, 3, 6)]
     for field in ("spectral", "pinv_entries", "determinant", "min_norm", "max_relative_spread"):
         assert getattr(row, field).tolist() == [getattr(p, field) for p in pairs], field
+    # The bounds report sums the spectral row itself, to the same bits.
+    bounds = bounds_report(cache, 2, np.array([0, 1, 3, 6]))
+    assert bounds.value.tolist() == biharmonic_spectral(cache, 2, np.array([0, 1, 3, 6])).tolist()
+    assert [bounds_report(cache, 2, v).value for v in (0, 1, 3, 6)] == bounds.value.tolist()
 
 
 def test_determinant_row_rejects_its_own_vertex():

@@ -141,6 +141,14 @@ class TestGenerators:
             Graph(n=2, edges=frozenset({(0, 2)}))
         with pytest.raises(ValueError, match="positive"):
             Graph(n=0, edges=frozenset())
+        # Non-integer endpoints and sizes raise instead of being truncated.
+        for bad in (1.7, "1"):
+            with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+                make_graph(3, [(0, bad), (1, 2)])
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Graph(n=2.5, edges=frozenset())
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            make_graph(2.5, [(0, 1)])
 
 
 class TestComplement:

@@ -231,6 +231,10 @@ class TestPrincipalMinorDet:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             principal_minor_det(np.eye(3), {3})
+        # A float or a string is not truncated to the index it resembles.
+        for bad in (1.7, "1"):
+            with pytest.raises(ValueError, match="not an integer"):
+                principal_minor_det(np.eye(3), (bad,))
 
 
 class TestSymmetrize:

@@ -30,6 +30,7 @@ from biharmonic import (
     spanning_tree_count,
     wheel_graph,
 )
+from biharmonic.metrics import rebuilt_index
 
 SQRT2 = math.sqrt(2.0)
 
@@ -382,6 +383,12 @@ class TestEdgeMonotonicity:
             check_edge_monotonicity(g, (np.array([0, 1]), np.array([2, 3, 4])))
         with pytest.raises(ValueError, match=r"\(0, 1\) is already an edge"):
             check_edge_monotonicity(g, (0, np.array([2, 1])))
+
+    def test_rebuilt_index_rejects_edge_arrays(self):
+        g = path_graph(5)
+        for e in ((0, np.array([2, 3])), (np.array([0, 1]), np.array([2, 3]))):
+            with pytest.raises(ValueError, match="takes one edge"):
+                rebuilt_index(g, e)
 
     def test_random_nonedges_strictly_decrease(self, random_suite):
         checked = 0

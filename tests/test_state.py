@@ -42,20 +42,29 @@ def jacobi_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def cholesky_calls(monkeypatch):
-    """Record the shape of each call of linalg.cholesky, under every module
+def record_shapes(monkeypatch, name):
+    """Record the shape of each call of linalg.<name>, under every module
     name that binds it."""
     calls = []
-    original = biharmonic.linalg.cholesky
+    original = getattr(biharmonic.linalg, name)
 
     def counted(a):
         calls.append(np.shape(a))
         return original(a)
 
     for module in (biharmonic.linalg, biharmonic.metrics):
-        monkeypatch.setattr(module, "cholesky", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    return record_shapes(monkeypatch, "cholesky")
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    return record_shapes(monkeypatch, "triangular_inverse")
 
 
 @pytest.mark.parametrize("method", ["det", "minnorm"])
@@ -112,7 +121,7 @@ def test_rebuilt_index_without_eigensolver(jacobi_calls, g):
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
-def test_verify_factorization_count(cholesky_calls, g):
+def test_verify_factorization_count(cholesky_calls, inverse_calls, g):
     # n grounded minors of L^2 shared by the det route and the matrix-tree
     # check, the tree-count minor of L, and L + J/n for the min-norm route;
     # with a nonedge, also L(G+e) + J/n for the rebuild of the first addition.
@@ -121,6 +130,10 @@ def test_verify_factorization_count(cholesky_calls, g):
     rebuilt = 1 if g.nonedges() else 0
     assert len(cholesky_calls) == n + 2 + rebuilt
     assert cholesky_calls.count((n, n)) == 1 + rebuilt
+    # Row u of the det route inverts only the trailing n - 1 - u block of
+    # its factor; L + J/n (and L(G+e) + J/n) are inverted whole.
+    sizes = sorted(shape[0] for shape in inverse_calls)
+    assert sizes == sorted([n - 1 - u for u in range(n)] + [n] * (1 + rebuilt))
 
 
 def test_pair_reads_factor_once_per_row(cholesky_calls):
