@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import CayleySpec, DisconnectedGraphError, _as_integer
 from .linalg import EigenDecomposition
-from .metrics import _check_vertices, _per_vertex, has_spectral_gap, spectral_sum
+from .metrics import _check_vertices, _one_vertex, _per_vertex, has_spectral_gap, spectral_sum
 
 
 def complete_graph_distance(n: int) -> float:
@@ -77,7 +77,7 @@ def complement_distance(eig: EigenDecomposition, u: int, v):
     to stay below n.
     """
     n = eig.n
-    u, v = _check_vertices(n, u), _check_vertices(n, v)
+    u, v = _one_vertex(_check_vertices(n, u)), _check_vertices(n, v)
     gaps = n - eig.eigenvalues
     if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps[1:])))):
         raise DisconnectedGraphError(
@@ -107,13 +107,15 @@ def cartesian_distance(
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
     z1, z2 = eig1.eigenvectors, eig2.eigenvectors
+    orders = (eig1.n, eig2.n)
+    u1, u2 = (_one_vertex(_check_vertices(n, x)) for n, x in zip(orders, u_pair))
+    v1, v2 = (_check_vertices(n, x) for n, x in zip(orders, v_pair))
 
-    def at(pair):  # the product eigenvectors at a vertex pair, one row per pair
-        x1, x2 = _check_vertices(eig1.n, pair[0]), _check_vertices(eig2.n, pair[1])
+    def at(x1, x2):  # the product eigenvectors at factor vertices x1, x2, one row per pair
         outer = z1[x1][..., :, None] * z2[x2][..., None, :]
         return outer.reshape(*outer.shape[:-2], -1)[..., 1:]
 
-    return _per_vertex(spectral_sum(at(u_pair), at(v_pair), np.add.outer(w1, w2).ravel()[1:]))
+    return _per_vertex(spectral_sum(at(u1, u2), at(v1, v2), np.add.outer(w1, w2).ravel()[1:]))
 
 
 def _unit_root(numerator: int, m: int) -> complex:
@@ -189,5 +191,5 @@ def cayley_distance(spec: CayleySpec, u, v):
     of indices, for the distances from u to each.
     """
     rows, gaps = _cayley_spectrum(spec)
-    u, v = _to_element(spec, u), _to_element(spec, v)
+    u, v = _one_vertex(_to_element(spec, u)), _to_element(spec, v)
     return _per_vertex(spectral_sum(rows[u], rows[v], gaps) / math.sqrt(spec.group_order))

@@ -37,9 +37,22 @@ def _ordered(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _edge(n: int, u, v) -> tuple[int, int]:
+    """The pair as integers (u, v), u < v, of a simple graph on 0..n-1."""
+    u, v = _as_integer(u, "edge endpoint"), _as_integer(v, "edge endpoint")
+    if u > v:  # inline, not _ordered: one call fewer per edge of make_graph
+        u, v = v, u
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    return u, v
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1, from any iterable
+    of integer vertex pairs, which the constructor checks and orders."""
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -47,11 +60,7 @@ class Graph:
     def __post_init__(self):
         if _as_integer(self.n, "vertex count") < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        object.__setattr__(self, "edges", frozenset(_edge(self.n, u, v) for u, v in self.edges))
 
     @property
     def m(self) -> int:
@@ -60,24 +69,20 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and _ordered(u, v) in self.edges
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+    def _endpoints(self) -> np.ndarray:
+        """The edges as a (2, m) integer array: row 0 the smaller endpoints."""
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64, 2 * self.m)
+        return ends.reshape(-1, 2).T
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self._endpoints().ravel(), minlength=self.n)
 
     def laplacian(self) -> np.ndarray:
         """Degree matrix minus adjacency matrix, as a dense float array."""
-        lap = -self.adjacency_matrix()
-        np.fill_diagonal(lap, self.degrees().astype(float))
+        ends = self._endpoints()
+        lap = np.zeros((self.n, self.n))
+        lap[ends, ends[::-1]] = -1.0
+        np.fill_diagonal(lap, self.degrees())
         return lap
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -93,26 +98,15 @@ class Graph:
 
 
 def make_graph(n: int, edges) -> Graph:
-    """Build a Graph from any iterable of vertex pairs, normalizing order;
-    an endpoint that is not an integer raises ValueError."""
-    return Graph(
-        n=n,
-        edges=frozenset(
-            _ordered(_as_integer(u, "edge endpoint"), _as_integer(v, "edge endpoint"))
-            for u, v in edges
-        ),
-    )
+    """Build a Graph from any iterable of vertex pairs (see Graph)."""
+    return Graph(n=n, edges=edges)
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
     return make_graph(n, itertools.combinations(range(n), 2))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path graph needs n >= 1, got {n}")
     return make_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
@@ -329,7 +323,7 @@ def parse_edge_list(text) -> Graph:
         edges.add(edge)
     if len(edges) != m:
         raise EdgeListFormatError(f"edge count mismatch: header declares {m}, found {len(edges)}")
-    return Graph(n=n, edges=frozenset(edges))
+    return Graph(n=n, edges=edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -21,9 +21,9 @@ route, and for the determinant route, per vertex u, the log determinant of
 M_u = L^2 without row and column u and the distances from u to all v > u
 (n - u numbers from one Cholesky factorization, the factor dropped). A verify
 thus costs one eigensolve and n + 2 Cholesky factorizations (the n minors
-M_u, the tree-count minor of L and S), plus one of S' = L(G+e) + J/n that
-rebuilds the index of the first edge addition as a spot check of its closed
-form.
+M_u, the tree-count minor of L and S), plus one of S' = L + bb' + J/n that
+rebuilds the index of the first edge addition uv, b = e_u - e_v, as a spot
+check of its closed form.
 
 The module also provides the biharmonic index (half the sum of all squared
 pairwise distances, equal to n times the sum of inverse squared nonzero
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, is_connected, make_graph
+from .graphs import DisconnectedGraphError, Graph, is_connected
 from .linalg import (
     GROUPING_FACTOR,
     EigenDecomposition,
@@ -142,8 +142,7 @@ class SpectralCache:
     @cached_property
     def shifted_inverse(self) -> np.ndarray:
         """S^-1 for S = L + J/n, from its Cholesky factor; it equals L^+ + J/n."""
-        x = triangular_inverse(cholesky(self.laplacian + 1.0 / self.graph.n))
-        return symmetrize(x.T @ x)
+        return _spd_inverse(self.laplacian + 1.0 / self.graph.n)
 
     def grounded(self, u: int) -> tuple[float, np.ndarray]:
         """(log det M_u, determinant-route distances from u to v = u+1 .. n-1),
@@ -172,6 +171,12 @@ class SpectralCache:
             )
             self._grounded[u] = (log_minor, tail)
         return self._grounded[u]
+
+
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a positive definite a, from its Cholesky factor."""
+    x = triangular_inverse(cholesky(a))
+    return symmetrize(x.T @ x)
 
 
 def has_spectral_gap(w: np.ndarray) -> bool:
@@ -204,10 +209,14 @@ def _cache_and_pair(graph_or_cache, u: int, v) -> tuple[SpectralCache, int, obje
     the checked v, a vertex or an integer array of vertices."""
     cache = _as_cache(graph_or_cache)
     n = cache.graph.n
-    u = _check_vertices(n, u)
+    return cache, _one_vertex(_check_vertices(n, u)), _check_vertices(n, v)
+
+
+def _one_vertex(u):
+    """The checked u when it is one vertex; ValueError when it is an array."""
     if not isinstance(u, int):
         raise ValueError(f"u must be one vertex, got {u!r}")
-    return cache, u, _check_vertices(n, v)
+    return u
 
 
 def _check_vertices(n: int, v):
@@ -567,16 +576,17 @@ def check_edge_monotonicity(graph_or_cache, e) -> tuple[float, object]:
 
 
 def rebuilt_index(graph_or_cache, e: tuple[int, int]) -> float:
-    """B(g+e) for a nonedge e, rebuilt from the Cholesky factor of g+e: the
+    """B(g+e) for a nonedge e = uv, rebuilt from a Cholesky factor: the
     independent check of the closed form in check_edge_monotonicity, which
-    reads g's eigen-based pinv. With S' = L' + J/n, S'^-1 = L'^+ + J/n, so
-    B(g+e) = n ||S'^-1 - J/n||_F^2. Subtracting 1/n before squaring keeps
-    the small entries of a dense graph, where ||S'^-1||_F^2 - 1 would cancel.
+    reads g's eigen-based pinv. g+e has the Laplacian L + bb', b = e_u - e_v,
+    so S' = L + bb' + J/n has S'^-1 = (L + bb')^+ + J/n, and B(g+e) =
+    n ||S'^-1 - J/n||_F^2. Subtracting 1/n before squaring keeps the small
+    entries of a dense graph, where ||S'^-1||_F^2 - 1 would cancel.
     Endpoint arrays raise ValueError: this takes one edge."""
     cache, u, v = _nonedge(graph_or_cache, e)
     if not (isinstance(u, int) and isinstance(v, int)):
         raise ValueError(f"rebuilt_index takes one edge (u, v), got {e!r}")
-    g = cache.graph
-    augmented = SpectralCache(make_graph(g.n, set(g.edges) | {(min(u, v), max(u, v))}))
-    pinv = augmented.shifted_inverse - 1.0 / g.n
-    return g.n * float(np.sum(pinv * pinv))
+    n = cache.graph.n
+    b = np.eye(n)[u] - np.eye(n)[v]
+    pinv = _spd_inverse(cache.laplacian + np.outer(b, b) + 1.0 / n) - 1.0 / n
+    return n * float(np.sum(pinv * pinv))

@@ -11,6 +11,7 @@ any fail.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -50,7 +51,7 @@ def _worst(values, reduce=max, start: float = 0.0) -> float:
     as any value is nan or inf. A plain max(worst, nan) keeps worst, which
     would let a nan defect read as a pass."""
     values = [start, *values]
-    return reduce(values) if np.all(np.isfinite(values[1:])) else float("nan")
+    return float(reduce(values)) if np.all(np.isfinite(values[1:])) else float("nan")
 
 
 def count_spanning_trees_exhaustive(g: graphs.Graph) -> int:
@@ -172,7 +173,7 @@ def _check_monotonicity(cache: metrics.SpectralCache):
     # The first addition rebuilt from a Cholesky factor of L(G+e) + J/n: an
     # independent check of the closed form that gave every B(G+e) above.
     rebuilt = metrics.rebuilt_index(cache, (us[0], vs[0]))
-    matched = abs(rebuilt - after[0]) <= INDEX_MATCH * max(1.0, abs(before))
+    matched = bool(abs(rebuilt - after[0]) <= INDEX_MATCH * max(1.0, abs(before)))
     if not matched:
         detail += f", rebuilt {fmt(rebuilt)} against {fmt(after[0])}"
     return margin > MONOTONICITY_MARGIN and matched, detail
@@ -186,7 +187,7 @@ def _check_matrix_tree(cache: metrics.SpectralCache):
     tau = metrics.spanning_tree_count(cache)
     expected = np.log(n) + 2.0 * cache.log_tree_count
     worst = _worst(abs(np.exp(cache.grounded(v)[0] - expected) - 1.0) for v in range(n))
-    ok = worst <= MATRIX_TREE_RELATIVE and np.isfinite(tau)
+    ok = worst <= MATRIX_TREE_RELATIVE and math.isfinite(tau)
     detail = f"tau {fmt(tau)} worst relative defect {fmt(worst)}"
     if n <= 7:
         exhaustive = count_spanning_trees_exhaustive(cache.graph)

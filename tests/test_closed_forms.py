@@ -450,6 +450,20 @@ class TestLoopReferences:
         assert_rows_equal_pairs(partial(complement_distance, eig), 30)
 
 
+def test_u_must_be_one_vertex():
+    eig = eigendecompose(path_graph(4).laplacian())
+    closed = (
+        partial(cayley_distance, CayleySpec((2, 4), ((1, 0), (0, 1), (0, 3)))),
+        partial(hypercube_distance, 3),
+        partial(complement_distance, eig),
+        lambda u, v: cartesian_distance(eig, eig, (u, 0), (v, 1)),
+        lambda u, v: cartesian_distance(eig, eig, (0, u), (1, v)),
+    )
+    for distance in closed:
+        with pytest.raises(ValueError, match="one vertex"):
+            distance(np.array([0, 1]), 3)
+
+
 class TestFourFamilyAgreement:
     def test_complete_graph_four_ways(self):
         n = 5

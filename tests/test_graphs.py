@@ -78,6 +78,12 @@ class TestParseEdgeList:
     def test_bad_header(self):
         with pytest.raises(EdgeListFormatError, match="header"):
             parse_edge_list("3\n")
+        with pytest.raises(EdgeListFormatError, match="header must be two integers"):
+            parse_edge_list("3 x\n")
+        with pytest.raises(EdgeListFormatError, match="line 1: vertex count must be positive"):
+            parse_edge_list("0 0\n")
+        with pytest.raises(EdgeListFormatError, match="edge count must be nonnegative"):
+            parse_edge_list("3 -1\n")
 
 
 class TestRoundTrip:
@@ -149,6 +155,35 @@ class TestGenerators:
             Graph(n=2.5, edges=frozenset())
         with pytest.raises(ValueError, match="vertex count must be an integer"):
             make_graph(2.5, [(0, 1)])
+        # The constructor checks endpoints itself, whatever iterable it gets.
+        for bad in (
+            lambda: Graph(n=3, edges=frozenset({(0, 1.5), (1, 2)})),
+            lambda: Graph(3, [(0, "1")]),
+            lambda: make_graph(3, [(0, 1.7)]),
+        ):
+            with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+                bad()
+
+    def test_graph_takes_any_pairs(self):
+        g = Graph(3, iter([(2, 0), (np.int64(1), np.int64(2))]))
+        assert g.edges == frozenset({(0, 2), (1, 2)})
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert g == make_graph(3, [(0, 2), (2, 1)])
+
+    def test_laplacian_matches_edge_loop(self):
+        rng = np.random.default_rng(11)
+        graphs = [Graph(n=1, edges=frozenset()), make_graph(4, [(0, 1), (2, 3)])]
+        graphs += [random_connected_graph(rng) for _ in range(10)]
+        for g in graphs:
+            reference = np.zeros((g.n, g.n))
+            for u, v in g.edges:
+                reference[u, v] = reference[v, u] = -1.0
+                reference[u, u] += 1.0
+                reference[v, v] += 1.0
+            lap = g.laplacian()
+            assert lap.dtype == float and np.array_equal(lap, reference)
+            assert not np.signbit(np.diag(lap)).any()
+            assert np.array_equal(g.degrees(), np.diag(reference).astype(int))
 
 
 class TestComplement:
@@ -235,6 +270,8 @@ class TestCayley:
             CayleySpec((2,), ((1,), (1,)))
         with pytest.raises(ValueError, match="arity"):
             CayleySpec((2, 2), ((1,),))
+        with pytest.raises(ValueError, match="cyclic orders must be positive"):
+            CayleySpec((3, 0), ((1, 0), (2, 0)))
 
 
 class TestConnectivity:

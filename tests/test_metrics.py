@@ -223,6 +223,12 @@ class TestSpanningTrees:
         assert tau == math.inf
         assert [str(w.message) for w in caught] == ["overflow encountered in exp"]
 
+    def test_non_integer_count_warns_and_returns_raw(self, monkeypatch):
+        monkeypatch.setattr(SpectralCache, "log_tree_count", math.log(2.5))
+        with pytest.warns(RuntimeWarning, match="not close to an integer"):
+            tau = spanning_tree_count(path_graph(3))
+        assert tau == math.exp(math.log(2.5))
+
 
 class TestIndices:
     def test_p3(self):

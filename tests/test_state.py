@@ -112,12 +112,19 @@ def test_verify_solve_count(jacobi_calls, g):
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS[1:], ids=VERIFY_IDS[1:])
-def test_rebuilt_index_without_eigensolver(jacobi_calls, g):
+def test_rebuilt_index_without_eigensolver(jacobi_calls, monkeypatch, g):
     state = SpectralCache(g)
+    traversals = []
+    traverse = biharmonic.metrics.is_connected
+    monkeypatch.setattr(
+        biharmonic.metrics, "is_connected", lambda graph: traversals.append(graph) or traverse(graph)
+    )
     for e in g.nonedges():
         rebuilt_index(g, e)
         rebuilt_index(state, e)
     assert jacobi_calls == []
+    # A graph is traversed once, for its own state; G + e never is.
+    assert traversals == [g] * len(g.nonedges())
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)

@@ -53,7 +53,7 @@ class TestVerifyGraph:
         results = verify_graph(complete_graph(4))
         assert [r.name for r in results] == BASE_CHECKS + ["closed-form-vs-spectral"]
         assert all_passed(results)
-        assert all(r.passed for r in results)
+        assert all(r.passed is True for r in results)
 
     def test_hypercube_recognized(self):
         results = verify_graph(hypercube_graph(3))
@@ -80,6 +80,7 @@ class TestVerifyGraph:
         for g in random_suite[:10]:
             results = verify_graph(g)
             assert all_passed(results), [r for r in results if not r.passed]
+            assert all(type(r.passed) is bool for r in results)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -131,6 +132,13 @@ class TestVerifyGraph:
         assert failing[0].detail.startswith(
             "adding edge (0, 2) failed to decrease the index: "
         )
+
+    def test_rebuild_mismatch_fails_with_both_values(self, monkeypatch):
+        monkeypatch.setattr(biharmonic.metrics, "rebuilt_index", lambda cache, e: 999.0)
+        results = verify_graph(path_graph(4))
+        failing = [r for r in results if not r.passed]
+        assert [r.name for r in failing] == ["edge-monotonicity"]
+        assert failing[0].detail.endswith(", rebuilt 999 against 4.69444444444")
 
     def test_all_passed_empty(self):
         assert all_passed([])
