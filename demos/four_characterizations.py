@@ -1,8 +1,9 @@
 """Four ways to compute the same biharmonic distance.
 
 The distance between vertices u and v is sqrt(delta' (L^2)^+ delta) with
-delta = e_u - e_v. That single number can be reached through four routes that
-share no intermediate arithmetic:
+delta = e_u - e_v. That single number can be reached through four routes. Two
+of them, det and minnorm, never touch the eigensolver; spectral and pinv read
+the same eigenpairs:
 
   1. spectral   -- sum over nonzero Laplacian eigenpairs
   2. pinv       -- entries of the squared pseudoinverse

@@ -6,7 +6,8 @@ Exit codes: 0 on success, 1 when a verification check fails or a numerical
 defect stops the computation (an arithmetic error, a solver that does not
 converge, a matrix that should be positive definite and is not), 2 on usage
 or input errors (unreadable or malformed files, disconnected graphs, bad
-vertices or parameters).
+vertices or parameters). dist, matrix, index and bounds exit 1, printing
+nothing, when a number they would print is nan or inf.
 """
 
 from __future__ import annotations
@@ -32,10 +33,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _require_finite(values: dict) -> None:
+    """The non-finite gate of dist, matrix, index and bounds, called before
+    they print: ArithmeticError naming each nan or inf among the named scalars."""
+    bad = [f"{name} {fmt(x)}" for name, x in values.items() if not np.isfinite(x)]
+    if bad:
+        raise ArithmeticError(f"non-finite result: {', '.join(bad)}")
+
+
 def cmd_dist(args) -> int:
     g = graphs.read_edge_list(args.path)
     cache = metrics.SpectralCache(g)
-    u, v = metrics._check_vertices(g.n, args.u), metrics._check_vertices(g.n, args.v)
+    u, v = metrics._check_pair(g.n, args.u, args.v)
     if u == v and args.method in ("det", "all"):
         print(
             "warning: distance from a vertex to itself is 0 by definition; "
@@ -49,9 +58,7 @@ def cmd_dist(args) -> int:
     else:
         report = metrics.all_methods(cache, u, v)
         rows = dict(zip([*metrics.ROUTES, "spread"], [*report.values(), report.max_relative_spread]))
-    bad = [f"{name} {fmt(x)}" for name, x in rows.items() if not np.isfinite(x)]
-    if bad:
-        raise ArithmeticError(f"non-finite result: {', '.join(bad)}")
+    _require_finite(rows)
     for name, x in rows.items():
         print(f"{name} {fmt(x)}" if args.method == "all" else fmt(x))
     return 0
@@ -60,6 +67,9 @@ def cmd_dist(args) -> int:
 def cmd_matrix(args) -> int:
     g = graphs.read_edge_list(args.path)
     dm = metrics.distance_matrix(g)
+    # The first nan or inf entry, else entry (0, 0).
+    i, j = np.unravel_index(np.argmin(np.isfinite(dm)), dm.shape)
+    _require_finite({f"d({i}, {j})": dm[i, j]})
     print(",".join(f"v{i}" for i in range(g.n)))
     for row in dm:
         print(",".join(fmt(x) for x in row))
@@ -69,12 +79,14 @@ def cmd_matrix(args) -> int:
 def cmd_index(args) -> int:
     g = graphs.read_edge_list(args.path)
     cache = metrics.SpectralCache(g)
-    print(f"B {fmt(metrics.biharmonic_index_spectral(cache))}")
-    print(f"Kf {fmt(metrics.kirchhoff_index(cache))}")
-    if g.n >= 2:
-        brk = metrics.check_brk(cache)
-        print(f"BRK {fmt(brk.rhs)}{' equality' if brk.equality else ''}")
+    rows = {"B": metrics.biharmonic_index_spectral(cache), "Kf": metrics.kirchhoff_index(cache)}
+    _require_finite(rows)
+    brk = metrics.check_brk(cache) if g.n >= 2 else None
     floor = metrics.check_index_floor(cache)
+    for name, x in rows.items():
+        print(f"{name} {fmt(x)}")
+    if brk is not None:
+        print(f"BRK {fmt(brk.rhs)}{' equality' if brk.equality else ''}")
     print(f"floor {fmt(floor.floor)}{' equality' if floor.equality else ''}")
     return 0
 
@@ -90,6 +102,7 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     g = graphs.read_edge_list(args.path)
     r = metrics.bounds_report(g, args.u, args.v)
+    _require_finite({"lower": r.lower, "value": r.value, "upper": r.upper})
     print(f"lower {fmt(r.lower)}")
     print(f"value {fmt(r.value)}")
     print(f"upper {fmt(r.upper)}")

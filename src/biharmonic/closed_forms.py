@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import CayleySpec, DisconnectedGraphError, _as_integer
 from .linalg import EigenDecomposition
-from .metrics import _check_vertices, _one_vertex, _per_vertex, has_spectral_gap, spectral_sum
+from .metrics import _check_pair, _per_vertex, has_spectral_gap, spectral_sum
 
 
 def complete_graph_distance(n: int) -> float:
@@ -77,7 +77,7 @@ def complement_distance(eig: EigenDecomposition, u: int, v):
     to stay below n.
     """
     n = eig.n
-    u, v = _one_vertex(_check_vertices(n, u)), _check_vertices(n, v)
+    u, v = _check_pair(n, u, v)
     gaps = n - eig.eigenvalues
     if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps[1:])))):
         raise DisconnectedGraphError(
@@ -94,8 +94,9 @@ def cartesian_distance(
     v_pair: tuple,
 ):
     """Distance on the Cartesian product of two connected graphs, computed
-    from the factor eigendecompositions. Each coordinate of v_pair may be
-    an integer array of factor vertices, for a row of distances.
+    from the factor eigendecompositions. u_pair and v_pair are pairs of
+    factor vertices, and each coordinate of v_pair may be an integer array
+    of factor vertices, for a row of distances.
 
     Product eigenpairs are (lambda_i + mu_j, z_i tensor y_j); the pair
     (i, j) = (1, 1), flat index 0 of the outer products, is the product
@@ -107,9 +108,9 @@ def cartesian_distance(
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
     z1, z2 = eig1.eigenvectors, eig2.eigenvectors
-    orders = (eig1.n, eig2.n)
-    u1, u2 = (_one_vertex(_check_vertices(n, x)) for n, x in zip(orders, u_pair))
-    v1, v2 = (_check_vertices(n, x) for n, x in zip(orders, v_pair))
+    if len(u_pair) != 2 or len(v_pair) != 2:
+        raise ValueError(f"product vertices are factor pairs, got {u_pair!r}, {v_pair!r}")
+    (u1, v1), (u2, v2) = map(_check_pair, (eig1.n, eig2.n), u_pair, v_pair)
 
     def at(x1, x2):  # the product eigenvectors at factor vertices x1, x2, one row per pair
         outer = z1[x1][..., :, None] * z2[x2][..., None, :]
@@ -156,10 +157,8 @@ def character_table(spec: CayleySpec) -> CharacterTable:
 
 
 def _to_element(spec: CayleySpec, x):
-    """x checked as element indices; a residue tuple or list is one element."""
-    if isinstance(x, (tuple, list)):
-        x = spec.element_index(x)
-    return _check_vertices(spec.group_order, x)
+    """x as element indices: a residue tuple or list is mapped to its index."""
+    return spec.element_index(x) if isinstance(x, (tuple, list)) else x
 
 
 @functools.cache
@@ -191,5 +190,5 @@ def cayley_distance(spec: CayleySpec, u, v):
     of indices, for the distances from u to each.
     """
     rows, gaps = _cayley_spectrum(spec)
-    u, v = _one_vertex(_to_element(spec, u)), _to_element(spec, v)
+    u, v = _check_pair(spec.group_order, _to_element(spec, u), _to_element(spec, v))
     return _per_vertex(spectral_sum(rows[u], rows[v], gaps) / math.sqrt(spec.group_order))

@@ -38,6 +38,7 @@ here rejects.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -92,8 +93,11 @@ class SpectralCache:
         w = eig.eigenvalues
         if not has_spectral_gap(w):
             # The graph passed the traversal test, so this is a solver defect.
+            bad = w[~np.isfinite(w)]
             raise np.linalg.LinAlgError(
-                f"connected graph without a spectral gap (lambda_2 = {float(w[1])!r})"
+                f"solver returned the non-finite eigenvalue {float(bad[0])!r}"
+                if bad.size
+                else f"connected graph without a spectral gap (lambda_2 = {float(w[1])!r})"
             )
         return eig
 
@@ -182,8 +186,11 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
 def has_spectral_gap(w: np.ndarray) -> bool:
     """True when the second-smallest of the ascending Laplacian eigenvalues w
     is clearly nonzero (eigendecompose would not group it with the kernel),
-    which certifies a connected graph. A nan eigenvalue gives False."""
-    return len(w) < 2 or bool(w[1] > GROUPING_FACTOR * max(1.0, float(w[-1])))
+    which certifies a connected graph. A nan eigenvalue, or a largest one
+    that is nan or inf, gives False."""
+    return len(w) < 2 or (
+        math.isfinite(w[-1]) and bool(w[1] > GROUPING_FACTOR * max(1.0, float(w[-1])))
+    )
 
 
 def build_cache(g: Graph) -> SpectralCache:
@@ -208,15 +215,18 @@ def _cache_and_pair(graph_or_cache, u: int, v) -> tuple[SpectralCache, int, obje
     """The prologue of every pair query: the state, the checked vertex u and
     the checked v, a vertex or an integer array of vertices."""
     cache = _as_cache(graph_or_cache)
-    n = cache.graph.n
-    return cache, _one_vertex(_check_vertices(n, u)), _check_vertices(n, v)
+    u, v = _check_pair(cache.graph.n, u, v)
+    return cache, u, v
 
 
-def _one_vertex(u):
-    """The checked u when it is one vertex; ValueError when it is an array."""
+def _check_pair(n: int, u, v) -> tuple[int, object]:
+    """The vertex check of every pair query: u checked as one vertex of
+    0..n-1, and v as one vertex or an integer array of vertices (see
+    _check_vertices); ValueError otherwise."""
+    u = _check_vertices(n, u)
     if not isinstance(u, int):
         raise ValueError(f"u must be one vertex, got {u!r}")
-    return u
+    return u, _check_vertices(n, v)
 
 
 def _check_vertices(n: int, v):
@@ -518,10 +528,23 @@ def check_index_floor(graph_or_cache) -> IndexFloorReport:
     return IndexFloorReport(b=b, floor=floor, equality=_attains(b, floor, "index floor"))
 
 
+def _worst(values, reduce=max, start: float = 0.0) -> float:
+    """Reduce (max or min) over start and values, failing closed: nan as soon
+    as any value is nan or inf. A plain max(worst, nan) keeps worst, which
+    would let a nan defect read as a pass. values are scalars, such as
+    per-row maxima, since they become a Python list."""
+    values = [start, *values]
+    return float(reduce(values)) if np.all(np.isfinite(values[1:])) else float("nan")
+
+
 def _attains(b: float, bound: float, name: str) -> bool:
     """Whether the index b attains its lower bound; ArithmeticError, named
-    after the bound, when b falls below it beyond tolerance."""
-    if b < bound - EQUALITY_TOLERANCE:
+    after the bound, when b falls below it beyond tolerance or when either
+    side is nan or inf."""
+    shortfall = _worst((bound - b,))
+    if math.isnan(shortfall):
+        raise ArithmeticError(f"{name} on a non-finite value: B {b!r}, bound {bound!r}")
+    if shortfall > EQUALITY_TOLERANCE:
         raise ArithmeticError(f"{name} violated: {b!r} < {bound!r}")
     return abs(b - bound) <= EQUALITY_TOLERANCE
 

@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import closed_forms, graphs, metrics
+from .metrics import _worst
 
 SPREAD_TOLERANCE = 1e-8
 TRIANGLE_TOLERANCE = 1e-10
@@ -44,14 +45,6 @@ def fmt(x) -> str:
 def flag(b) -> str:
     """The one boolean format of every report and CLI line."""
     return "true" if b else "false"
-
-
-def _worst(values, reduce=max, start: float = 0.0) -> float:
-    """Reduce (max or min) over start and values, failing closed: nan as soon
-    as any value is nan or inf. A plain max(worst, nan) keeps worst, which
-    would let a nan defect read as a pass."""
-    values = [start, *values]
-    return float(reduce(values)) if np.all(np.isfinite(values[1:])) else float("nan")
 
 
 def count_spanning_trees_exhaustive(g: graphs.Graph) -> int:
@@ -88,7 +81,8 @@ def _check_methods(cache: metrics.SpectralCache):
 
 
 def _triangle_defect(dm: np.ndarray) -> float:
-    """Worst triple defect max over i, k of d(i,k) - min_j (d(i,j) + d(j,k)).
+    """Worst triple defect max over i, k of d(i,k) - min_j (d(i,j) + d(j,k)),
+    or nan when that is nan or inf.
 
     The inner minimum is taken one row i at a time, so memory stays O(n^2)
     where the n^3 array of all sums would not; min and max are exact, so the
@@ -97,7 +91,7 @@ def _triangle_defect(dm: np.ndarray) -> float:
     closest = np.empty_like(dm)
     for i, row in enumerate(dm):
         closest[i] = np.min(row[:, None] + dm, axis=0)
-    return float(np.max(dm - closest))
+    return _worst((np.max(dm - closest),))
 
 
 def _check_metric_axioms(cache: metrics.SpectralCache):
@@ -131,7 +125,7 @@ def _check_bounds(cache: metrics.SpectralCache):
 def _check_index_consistency(cache: metrics.SpectralCache):
     spectral = metrics.biharmonic_index_spectral(cache)
     pairwise = metrics.biharmonic_index_pairwise(cache)
-    ok = abs(spectral - pairwise) <= INDEX_MATCH * max(1.0, abs(spectral))
+    ok = _worst((abs(spectral - pairwise),)) <= INDEX_MATCH * max(1.0, abs(spectral))
     return ok, f"spectral {fmt(spectral)} pairwise {fmt(pairwise)}"
 
 
@@ -173,7 +167,7 @@ def _check_monotonicity(cache: metrics.SpectralCache):
     # The first addition rebuilt from a Cholesky factor of L(G+e) + J/n: an
     # independent check of the closed form that gave every B(G+e) above.
     rebuilt = metrics.rebuilt_index(cache, (us[0], vs[0]))
-    matched = bool(abs(rebuilt - after[0]) <= INDEX_MATCH * max(1.0, abs(before)))
+    matched = _worst((abs(rebuilt - after[0]),)) <= INDEX_MATCH * max(1.0, abs(before))
     if not matched:
         detail += f", rebuilt {fmt(rebuilt)} against {fmt(after[0])}"
     return margin > MONOTONICITY_MARGIN and matched, detail
@@ -202,7 +196,7 @@ def _check_pinv_identities(cache: metrics.SpectralCache):
     p2 = cache.pinv2
     reproduce = float(np.max(np.abs(lap @ p @ lap - lap)))
     square = float(np.max(np.abs(p @ p - p2)))
-    rows = float(max(np.max(np.abs(p.sum(axis=1))), np.max(np.abs(p2.sum(axis=1)))))
+    rows = _worst(np.max(np.abs(m.sum(axis=1))) for m in (p, p2))
     worst = _worst((reproduce, square, rows))
     return (
         worst <= PINV_IDENTITY,

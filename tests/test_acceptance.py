@@ -48,7 +48,7 @@ from biharmonic import (
     write_edge_list,
 )
 from biharmonic.cli import main
-from biharmonic.verification import _worst
+from biharmonic.metrics import _worst
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,43 @@ class TestDistFailsClosed:
         assert out == ""
         assert err.startswith("error: non-finite result: det ")
         assert err.count("\n") == 1
+
+
+def _with_inf_eigenvector_entry(a):
+    eig = biharmonic.linalg.eigendecompose(a)
+    z = eig.eigenvectors.copy()
+    z[1, 2] = float("inf")
+    return dataclasses.replace(eig, eigenvectors=z)
+
+
+def _with_nan_entry(graph_or_cache, distance_matrix=biharmonic.metrics.distance_matrix):
+    # The default binds the unpatched function, which the test replaces by this one.
+    dm = distance_matrix(graph_or_cache)
+    dm[1, 2] = dm[2, 1] = float("nan")
+    return dm
+
+
+class TestOutputFailsClosed:
+    """index, matrix and bounds refuse a nan or inf as dist does: exit 1,
+    nothing on stdout, one error line naming the value."""
+
+    @pytest.mark.parametrize(
+        "argv, name, patch, error",
+        [
+            (["index"], "biharmonic_index_spectral", lambda cache: float("inf"), "B inf"),
+            (["index"], "kirchhoff_index", lambda cache: float("nan"), "Kf nan"),
+            (["matrix"], "distance_matrix", _with_nan_entry, "d(1, 2) nan"),
+            (["bounds", "1", "3"], "eigendecompose", _with_inf_eigenvector_entry, "value inf"),
+        ],
+        ids=["index-B-inf", "index-Kf-nan", "matrix-nan", "bounds-inf"],
+    )
+    def test_non_finite_exit_one(self, graph_file, capsys, monkeypatch, argv, name, patch, error):
+        monkeypatch.setattr(biharmonic.metrics, name, patch)
+        path = graph_file("w5.g", wheel_graph(5))
+        assert main([argv[0], path, *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: non-finite result: {error}\n"
 
 
 class TestMatrix:

@@ -279,6 +279,14 @@ class TestCartesianProduct:
         with pytest.raises(ValueError, match="out of range"):
             cartesian_distance(eig, eig, (0, 0), (3, 1))
 
+    @pytest.mark.parametrize(
+        "u_pair, v_pair", [((0, 0, 7), (1, 1)), ((0, 0), (1, 1, "x")), ((0,), (1, 1))]
+    )
+    def test_pair_of_wrong_length_rejected(self, u_pair, v_pair):
+        eig = eigendecompose(path_graph(3).laplacian())
+        with pytest.raises(ValueError, match="factor pairs"):
+            cartesian_distance(eig, eig, u_pair, v_pair)
+
 
 class TestCharacterTable:
     def test_unit_modulus_and_orthogonality(self):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import biharmonic.metrics
 from biharmonic import (
     DisconnectedGraphError,
     SpectralCache,
@@ -338,6 +339,21 @@ class TestInequalities:
         assert rep.equality and abs(rep.b - 5.0 / 6.0) <= 1e-10
         rep = check_index_floor(path_graph(3))
         assert not rep.equality and rep.b > rep.floor
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "name, checker",
+        [
+            ("biharmonic_index_spectral", check_brk),
+            ("biharmonic_index_spectral", check_index_floor),
+            ("kirchhoff_index", check_brk),  # the bound Kf^2 / (n(n-1))
+        ],
+        ids=["brk-B", "floor-B", "brk-Kf"],
+    )
+    def test_non_finite_index_or_bound_raises(self, monkeypatch, name, checker, bad):
+        monkeypatch.setattr(biharmonic.metrics, name, lambda cache: bad)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            checker(path_graph(5))
 
     def test_suite_obeys_both(self, random_suite_caches):
         for cache in random_suite_caches:

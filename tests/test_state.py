@@ -1,6 +1,8 @@
 """The lazy per-graph state: which operations run the eigensolver and the
 Cholesky factorization, and how often."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from biharmonic import (
     write_edge_list,
 )
 from biharmonic.cli import main
-from biharmonic.metrics import rebuilt_index
+from biharmonic.metrics import has_spectral_gap, rebuilt_index
 
 
 @pytest.fixture
@@ -158,6 +160,20 @@ def test_state_rejects_disconnected_graph(jacobi_calls):
     with pytest.raises(DisconnectedGraphError):
         SpectralCache(make_graph(4, [(0, 1), (2, 3)]))
     assert jacobi_calls == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_largest_eigenvalue_is_a_solver_defect(monkeypatch, bad):
+    eig = eigendecompose(path_graph(5).laplacian())
+    w = eig.eigenvalues.copy()
+    w[-1] = bad
+    assert not has_spectral_gap(w)
+    broken = dataclasses.replace(eig, eigenvalues=w)
+    monkeypatch.setattr(biharmonic.metrics, "eigendecompose", lambda a: broken)
+    with pytest.raises(np.linalg.LinAlgError, match=f"non-finite eigenvalue {bad!r}"):
+        SpectralCache(path_graph(5)).eig
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
+        verify_graph(path_graph(5))
 
 
 def test_missing_spectral_gap_is_a_solver_defect(monkeypatch):

@@ -22,8 +22,12 @@ from biharmonic import (
     verify_graph,
     wheel_graph,
 )
-from biharmonic.metrics import SpectralCache
-from biharmonic.verification import _check_matrix_tree, _triangle_defect, _worst
+from biharmonic.metrics import SpectralCache, _worst
+from biharmonic.verification import _check_matrix_tree, _triangle_defect
+
+# The checks that read B(G): its two evaluations, both lower bounds, and
+# the edge additions that must lower it.
+INDEX_CHECKS = ["index-consistency", "index-inequality", "index-floor", "edge-monotonicity"]
 
 BASE_CHECKS = [
     "connectivity-certificate",
@@ -95,6 +99,33 @@ class TestVerifyGraph:
         assert [r.name for r in failing] == ["index-consistency"]
         assert "999" in failing[0].detail
         assert not all_passed(results)
+
+    @pytest.mark.parametrize(
+        "name, bad, failing",
+        [
+            ("biharmonic_index_spectral", float("inf"), INDEX_CHECKS),
+            ("biharmonic_index_spectral", float("nan"), INDEX_CHECKS),
+            ("kirchhoff_index", float("nan"), ["index-inequality"]),
+        ],
+        ids=["B-inf", "B-nan", "Kf-nan"],
+    )
+    def test_non_finite_index_fails_every_check_it_reaches(self, monkeypatch, name, bad, failing):
+        monkeypatch.setattr(biharmonic.metrics, name, lambda cache: bad)
+        results = verify_graph(path_graph(6))
+        assert [r.name for r in results if not r.passed] == failing
+
+    def test_non_finite_row_sum_is_reported(self, monkeypatch):
+        pinv2 = SpectralCache.pinv2.func
+
+        def with_nan(cache):
+            p2 = pinv2(cache).copy()
+            p2[-1, -1] = float("nan")
+            return p2
+
+        monkeypatch.setattr(SpectralCache, "pinv2", property(with_nan))
+        results = {r.name: r for r in verify_graph(path_graph(4))}
+        assert not results["pseudoinverse-identities"].passed
+        assert results["pseudoinverse-identities"].detail.endswith(" row sums nan")
 
     def test_infinite_route_fails_closed(self, monkeypatch):
         monkeypatch.setitem(biharmonic.metrics.ROUTES, "det", lambda cache, u, v: float("inf"))
