@@ -56,12 +56,12 @@ def hypercube_distance(d: int, u, v):
 
 
 def _bits(d: int, x):
-    """x, with a bit string read as its vertex index (character i is bit i)."""
+    """x, with a bit string read as its residues (character i is coordinate i)."""
     if not isinstance(x, str):
         return x
     if len(x) != d or any(ch not in "01" for ch in x):
         raise ValueError(f"expected a {d}-character bit string, got {x!r}")
-    return int(x[::-1], 2)
+    return tuple(int(ch) for ch in x)
 
 
 def complement_distance(eig: EigenDecomposition, u: int, v):
@@ -119,21 +119,11 @@ def cartesian_distance(
     return _per_vertex(spectral_sum(at(u1, u2), at(v1, v2), np.add.outer(w1, w2).ravel()[1:]))
 
 
-def _unit_root(numerator: int, m: int) -> complex:
-    """exp(2*pi*i*numerator/m), exact on quarter turns so that characters of
-    2- and 4-element cyclic factors come out as exact ±1, ±i."""
-    q = numerator % m
-    quarters, rem = divmod(4 * q, m)
-    if rem == 0:
-        return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[quarters % 4]
-    return complex(np.exp(2.0j * np.pi * q / m))
-
-
 @dataclass(frozen=True)
 class CharacterTable:
-    """All characters of a finite abelian group, one per row, indexed the
-    same mixed-radix way as the group elements, plus the adjacency
-    eigenvalues alpha(chi) = sum of chi over the connection set."""
+    """All characters of a finite abelian group, chi_j(g) at row j, column g,
+    both in CayleySpec's element order (so the table is symmetric), plus the
+    adjacency eigenvalues alpha(chi) = sum of chi over the connection set."""
 
     group_order: int
     characters: np.ndarray
@@ -143,13 +133,17 @@ class CharacterTable:
 @functools.cache
 def character_table(spec: CayleySpec) -> CharacterTable:
     """The character table of spec's group, built once per spec and shared,
-    so its arrays are read-only."""
-    # The first coordinate is least significant: the last factor is outermost.
-    factors = [
-        np.array([[_unit_root(j * g, m) for g in range(m)] for j in range(m)])
-        for m in reversed(spec.cyclic_orders)
-    ]
-    chars = functools.reduce(np.kron, factors)
+    so its arrays are read-only. chi_j(g) = w^<j, g>, w = exp(2 pi i / L) for
+    L the lcm of the orders m_i and <j, g> = sum of j_i g_i L / m_i mod L;
+    the powers of w are exact on quarter turns, so every ±1 and ±i is exact."""
+    lcm = math.lcm(*spec.cyclic_orders)
+    g = spec.elements()
+    phases = (g * (lcm // np.array(spec.cyclic_orders))) @ g.T % lcm
+    k = np.arange(lcm)
+    powers = np.exp(2.0j * np.pi * k / lcm)
+    quarter = 4 * k % lcm == 0
+    powers[quarter] = np.array([1.0, 1.0j, -1.0, -1.0j])[4 * k[quarter] // lcm]
+    chars = powers[phases]
     s_idx = [spec.element_index(s) for s in spec.connection_set]
     alpha = chars[:, s_idx].sum(axis=1).real.copy()
     chars.flags.writeable = alpha.flags.writeable = False
@@ -163,18 +157,17 @@ def _to_element(spec: CayleySpec, x):
 
 @functools.cache
 def _cayley_spectrum(spec: CayleySpec) -> tuple[np.ndarray, np.ndarray]:
-    """The nontrivial characters, one contiguous row per element, and their
-    Laplacian eigenvalues |S| - alpha(chi), kept per spec. Raises
-    DisconnectedGraphError when the connection set S does not generate the group."""
+    """The nontrivial characters at each element, one row per element (a view
+    of the symmetric character table), and their Laplacian eigenvalues
+    |S| - alpha(chi). Raises DisconnectedGraphError when the connection set
+    S does not generate the group."""
     table = character_table(spec)
     gaps = len(spec.connection_set) - table.adjacency_eigenvalues
     if not has_spectral_gap(np.sort(gaps)):
         raise DisconnectedGraphError(
             "connection set does not generate the group (zero spectral gap)"
         )
-    rows = np.ascontiguousarray(table.characters[1:].T)
-    rows.flags.writeable = False
-    return rows, gaps[1:]
+    return table.characters[:, 1:], gaps[1:]
 
 
 def cayley_distance(spec: CayleySpec, u, v):

@@ -218,35 +218,30 @@ class CayleySpec:
         """Mixed-radix index; the first coordinate is least significant."""
         if len(element) != len(self.cyclic_orders):
             raise ValueError(f"element {element} has wrong arity for orders {self.cyclic_orders}")
-        idx = 0
-        stride = 1
         for x, m in zip(element, self.cyclic_orders):
             if not (isinstance(x, (int, np.integer)) and 0 <= x < m):
                 raise ValueError(f"residue {x!r} out of range for order {m}")
-            idx += x * stride
-            stride *= m
-        return idx
+        return int(self._index(element))
 
-    def element(self, index: int) -> tuple[int, ...]:
-        coords = []
-        for m in self.cyclic_orders:
-            coords.append(index % m)
-            index //= m
-        return tuple(coords)
+    def elements(self) -> np.ndarray:
+        """The (N, r) residue table: row i is the element whose index is i."""
+        return np.stack(np.unravel_index(np.arange(self.group_order), self.cyclic_orders, order="F"), axis=1)
+
+    def _index(self, coords):
+        """The index of the element whose coordinate i is coords[i] mod m_i;
+        the coordinates may be arrays. The inverse of elements()."""
+        return np.ravel_multi_index(coords, self.cyclic_orders, mode="wrap", order="F")
 
 
 def cayley_graph(spec: CayleySpec) -> Graph:
     """Cayley graph of the abelian group in `spec`: u ~ v iff v - u is connected."""
     n = spec.group_order
-    edges = []
-    for idx in range(n):
-        g = spec.element(idx)
-        for s in spec.connection_set:
-            h = tuple((a + b) % m for a, b, m in zip(g, s, spec.cyclic_orders))
-            jdx = spec.element_index(h)
-            if idx < jdx:
-                edges.append((idx, jdx))
-    return make_graph(n, edges)
+    steps = np.array(spec.connection_set, dtype=np.intp).reshape(-1, len(spec.cyclic_orders))
+    sums = (spec.elements()[:, None, :] + steps).reshape(-1, steps.shape[1])  # u + s for each u, s
+    targets = spec._index(sums.T)
+    sources = np.arange(n).repeat(len(steps))
+    keep = sources < targets
+    return make_graph(n, zip(sources[keep].tolist(), targets[keep].tolist()))
 
 
 def is_connected(g: Graph) -> bool:

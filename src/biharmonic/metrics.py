@@ -311,7 +311,7 @@ def biharmonic_determinant(graph_or_cache, u: int, v):
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     _require_distinct(u, v, "the determinant formula")
-    values = [cache.grounded(min(u, x))[1][abs(x - u) - 1] for x in np.atleast_1d(v).tolist()]
+    values = [cache.grounded(min(u, x))[1][abs(x - u) - 1] for x in np.ravel(v).tolist()]
     # Shaped like v; [()] turns the 0-d array of a single vertex into a scalar.
     return _per_vertex(np.array(values).reshape(np.shape(v))[()])
 

@@ -105,18 +105,22 @@ def test_rows_match_pair_routes_on_suite(random_suite_caches):
 
 def test_row_and_pair_reads_agree_exactly():
     cache = build_cache(wheel_graph(7))
-    for route, _ in ROUTES:
-        row = route(cache, 2, np.array([0, 1, 3, 6]))
-        assert row.tolist() == [route(cache, 2, v) for v in (0, 1, 3, 6)]
-        assert route(cache, 2, 5) == route(cache, 5, 2)
-    row = all_methods(cache, 2, np.array([0, 1, 3, 6]))
-    pairs = [all_methods(cache, 2, v) for v in (0, 1, 3, 6)]
-    for field in ("spectral", "pinv_entries", "determinant", "min_norm", "max_relative_spread"):
-        assert getattr(row, field).tolist() == [getattr(p, field) for p in pairs], field
-    # The bounds report sums the spectral row itself, to the same bits.
-    bounds = bounds_report(cache, 2, np.array([0, 1, 3, 6]))
-    assert bounds.value.tolist() == biharmonic_spectral(cache, 2, np.array([0, 1, 3, 6])).tolist()
-    assert [bounds_report(cache, 2, v).value for v in (0, 1, 3, 6)] == bounds.value.tolist()
+    # A row of vertices, and the same vertices as a 2-D array: results take v's shape.
+    for vs in (np.array([0, 1, 3, 6]), np.array([[0, 1], [3, 6]])):
+        singles = vs.ravel().tolist()
+        for route, _ in ROUTES:
+            row = route(cache, 2, vs)
+            assert row.shape == vs.shape
+            assert row.ravel().tolist() == [route(cache, 2, v) for v in singles]
+            assert route(cache, 2, 5) == route(cache, 5, 2)
+        row = all_methods(cache, 2, vs)
+        pairs = [all_methods(cache, 2, v) for v in singles]
+        for field in ("spectral", "pinv_entries", "determinant", "min_norm", "max_relative_spread"):
+            assert getattr(row, field).ravel().tolist() == [getattr(p, field) for p in pairs], field
+        # The bounds report sums the spectral row itself, to the same bits.
+        bounds = bounds_report(cache, 2, vs)
+        assert bounds.value.tolist() == biharmonic_spectral(cache, 2, vs).tolist()
+        assert [bounds_report(cache, 2, v).value for v in singles] == bounds.value.ravel().tolist()
 
 
 def test_determinant_row_rejects_its_own_vertex():

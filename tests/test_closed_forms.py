@@ -27,6 +27,7 @@ from biharmonic import (
     path_graph,
     wheel_graph,
 )
+from biharmonic.closed_forms import _cayley_spectrum
 
 SQRT2 = math.sqrt(2.0)
 REFERENCE_RELATIVE = 1e-12
@@ -300,6 +301,7 @@ class TestCharacterTable:
             assert np.max(np.abs(np.abs(chars) - 1.0)) <= 1e-12
             gram = chars @ chars.conj().T
             assert np.max(np.abs(gram - n * np.eye(n))) <= 1e-9
+            assert np.array_equal(chars, chars.T)
 
     def test_quarter_turns_exact(self):
         spec = CayleySpec(cyclic_orders=(4,), connection_set=((1,), (3,)))
@@ -307,6 +309,10 @@ class TestCharacterTable:
         assert table.characters[1, 1] == 1j
         assert table.characters[2, 1] == -1.0
         assert table.characters[1, 3] == -1j
+        # A quarter turn of the lcm, not of one factor: chi_(1,1)((1,2)) = w^3, w = exp(2 pi i/6).
+        spec = CayleySpec(cyclic_orders=(6, 6), connection_set=((1, 0), (5, 0)))
+        j, g = spec.element_index((1, 1)), spec.element_index((1, 2))
+        assert character_table(spec).characters[j, g] == -1.0
 
     def test_cycle_adjacency_eigenvalues(self):
         spec = CayleySpec(cyclic_orders=(4,), connection_set=((1,), (3,)))
@@ -321,6 +327,8 @@ class TestCharacterTable:
             table.characters[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             table.adjacency_eigenvalues[0] = 0.0
+        # The distance rows read the same table, not a second N x N copy.
+        assert np.shares_memory(_cayley_spectrum(QUERIES_SPEC)[0], table.characters)
 
     def test_trivial_character_row(self):
         spec = z2_power_spec(3)

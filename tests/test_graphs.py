@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -251,10 +252,15 @@ class TestCayley:
         g = cayley_graph(spec)
         assert all(d == 4 for d in g.degrees())
 
+    def test_empty_connection_set_is_edgeless(self):
+        for orders in ((4,), (3, 2), (1,)):
+            g = cayley_graph(CayleySpec(orders, ()))
+            assert (g.n, g.m) == (math.prod(orders), 0)
+
     def test_element_index_roundtrip(self):
         spec = CayleySpec((2, 3, 4), ((1, 0, 0),))
-        for idx in range(spec.group_order):
-            assert spec.element_index(spec.element(idx)) == idx
+        for idx, row in enumerate(spec.elements()):
+            assert spec.element_index(row) == idx
         assert spec.element_index((1, 0, 0)) == 1
         assert spec.element_index((0, 1, 0)) == 2
         assert spec.element_index((0, 0, 1)) == 6
