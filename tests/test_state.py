@@ -16,6 +16,7 @@ from biharmonic import (
     biharmonic_spectral,
     build_cache,
     complete_graph,
+    cycle_graph,
     distance_matrix,
     eigendecompose,
     k4_minus,
@@ -97,6 +98,17 @@ def test_build_cache_solves_once(jacobi_calls):
     assert len(jacobi_calls) == 1
 
 
+@pytest.mark.parametrize("g", [path_graph(200), cycle_graph(200)], ids=["P200", "C200"])
+def test_eigenvectors_carry_no_kernel_component(g):
+    # The kernel is reflected out before the solve: z_1 = 1/sqrt(n) exactly,
+    # and every other eigenvector is orthogonal to 1 to rounding.
+    eig = build_cache(g).eig
+    z = eig.eigenvectors
+    assert eig.eigenvalues[0] == 0.0
+    assert np.all(z[:, 0] == 1.0 / np.sqrt(g.n))
+    assert np.max(np.abs(z[:, 1:].sum(axis=0))) <= 1e-13
+
+
 def test_distance_matrix_on_graph_solves_once(jacobi_calls):
     distance_matrix(wheel_graph(6))
     assert len(jacobi_calls) == 1
@@ -108,9 +120,10 @@ VERIFY_IDS = ["K5", "K4-", "P9"]
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
 def test_verify_solve_count(jacobi_calls, g):
-    # One full solve of G; the rebuild of the first addition factors G + e.
+    # One solve of L(G) with its kernel reflected out, so of the trailing
+    # (n-1)x(n-1) block; the rebuild of the first addition factors G + e.
     verify_graph(g)
-    assert jacobi_calls == [(g.n, g.n)]
+    assert jacobi_calls == [(g.n - 1, g.n - 1)]
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS[1:], ids=VERIFY_IDS[1:])
@@ -164,12 +177,15 @@ def test_state_rejects_disconnected_graph(jacobi_calls):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_largest_eigenvalue_is_a_solver_defect(monkeypatch, bad):
-    eig = eigendecompose(path_graph(5).laplacian())
-    w = eig.eigenvalues.copy()
-    w[-1] = bad
-    assert not has_spectral_gap(w)
-    broken = dataclasses.replace(eig, eigenvalues=w)
-    monkeypatch.setattr(biharmonic.metrics, "eigendecompose", lambda a: broken)
+    def broken(a):
+        # The block solve of the state, with its largest eigenvalue replaced.
+        eig = eigendecompose(a)
+        w = eig.eigenvalues.copy()
+        w[-1] = bad
+        assert not has_spectral_gap(np.concatenate(([0.0], w)))
+        return dataclasses.replace(eig, eigenvalues=w)
+
+    monkeypatch.setattr(biharmonic.metrics, "eigendecompose", broken)
     with pytest.raises(np.linalg.LinAlgError, match=f"non-finite eigenvalue {bad!r}"):
         SpectralCache(path_graph(5)).eig
     with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
@@ -177,8 +193,9 @@ def test_non_finite_largest_eigenvalue_is_a_solver_defect(monkeypatch, bad):
 
 
 def test_missing_spectral_gap_is_a_solver_defect(monkeypatch):
-    zero = eigendecompose(np.zeros((4, 4)))
-    monkeypatch.setattr(biharmonic.metrics, "eigendecompose", lambda a: zero)
+    monkeypatch.setattr(
+        biharmonic.metrics, "eigendecompose", lambda a: eigendecompose(np.zeros_like(a))
+    )
     state = SpectralCache(path_graph(4))
     with pytest.raises(np.linalg.LinAlgError, match="spectral gap"):
         state.eig
