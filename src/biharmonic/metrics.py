@@ -89,28 +89,16 @@ class SpectralCache:
 
     @cached_property
     def eig(self) -> EigenDecomposition:
-        """The eigendecomposition of L with its known kernel reflected out.
-
-        The Householder reflector H = I - h h'/h_0, h = 1/sqrt(n) + e_0, maps
-        1/sqrt(n) onto -e_0. Since L 1 = 0, L h = L e_0, and HLH is the
-        rank-2 update L - h q' - q h' with p = L e_0 / h_0 and
-        q = p - (h'p / 2h_0) h, which is zero in row and column 0. Only its
-        trailing (n-1)x(n-1) block is solved; lambda_1 = 0 and
-        z_1 = 1/sqrt(n) are set exactly, and every other eigenvector maps
-        back through H, so it is orthogonal to 1 to rounding.
-        """
-        lap = self.laplacian
-        n = len(lap)
-        h = np.full(n, 1.0 / math.sqrt(n))
-        h[0] += 1.0
-        p = lap[:, 0] / h[0]
-        q = p - (h @ p / (2.0 * h[0])) * h
-        block = eigendecompose((lap - np.outer(h, q) - np.outer(q, h))[1:, 1:])
-        z = np.zeros((n, n))
-        z[1:, 1:] = block.eigenvectors
-        z[:, 1:] -= np.outer(h / h[0], h[1:] @ z[1:, 1:])  # H applied to [0; y]
-        z[:, 0] = 1.0 / math.sqrt(n)
-        w = np.concatenate(([0.0], block.eigenvalues))
+        """The eigendecomposition of L with its known kernel projected out:
+        lambda_1 = 0 and z_1 = 1/sqrt(n) are set exactly, and every other
+        eigenvector loses its mean, so it is orthogonal to 1 to rounding. As
+        L 1 = 0, L z_k is unchanged; only the rounding-level kernel component,
+        which 1/lambda_2^2 would amplify in the pseudoinverses, goes."""
+        solved = eigendecompose(self.laplacian)
+        w, z = solved.eigenvalues, solved.eigenvectors
+        w[0] = 0.0
+        z[:, 0] = 1.0 / math.sqrt(self.graph.n)
+        z[:, 1:] -= z[:, 1:].mean(axis=0)
         if not has_spectral_gap(w):
             # The graph passed the traversal test, so this is a solver defect.
             bad = w[~np.isfinite(w)]
@@ -119,7 +107,7 @@ class SpectralCache:
                 if bad.size
                 else f"connected graph without a spectral gap (lambda_2 = {float(w[1])!r})"
             )
-        return EigenDecomposition(w, z, block.iterations, block.off_diagonal)
+        return solved
 
     def _pinv_power(self, power: int) -> np.ndarray:
         w = self.eig.eigenvalues
@@ -251,8 +239,11 @@ def _check_pair(n: int, u, v) -> tuple[int, object]:
 
 def _check_vertices(n: int, v):
     """v checked as one vertex (an int comes back) or an integer array of
-    vertices (any empty array is one) of 0..n-1; ValueError otherwise."""
+    vertices (any empty array is one) of 0..n-1; ValueError otherwise. A
+    bool is not a vertex, as a Python scalar no more than in an array."""
     try:
+        if isinstance(v, bool):
+            raise TypeError
         v = operator.index(v)
     except TypeError:
         vs = np.asarray(v)

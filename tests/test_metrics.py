@@ -145,8 +145,11 @@ class TestFourMethods:
             all_methods(cache, 0, np.array([1.5, 3.7]))
         with pytest.raises(ValueError, match="integers"):
             biharmonic_spectral(cache, 0, [1, 2.5])
-        with pytest.raises(ValueError, match="integers"):
-            biharmonic_minnorm(cache, 0, np.array([True, False]))
+        for flag in (np.array([True, False]), True):
+            with pytest.raises(ValueError, match="integers"):
+                biharmonic_minnorm(cache, 0, flag)
+            with pytest.raises(ValueError, match="integers"):
+                biharmonic_spectral(cache, flag, 3)
         assert biharmonic_spectral(cache, 0, np.array([])).shape == (0,)
         assert biharmonic_spectral(cache, np.int32(0), np.array(3)) == biharmonic_spectral(cache, 0, 3)
 

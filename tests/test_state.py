@@ -98,15 +98,20 @@ def test_build_cache_solves_once(jacobi_calls):
     assert len(jacobi_calls) == 1
 
 
-@pytest.mark.parametrize("g", [path_graph(200), cycle_graph(200)], ids=["P200", "C200"])
+@pytest.mark.parametrize(
+    "g", [path_graph(200), cycle_graph(200), complete_graph(100)], ids=["P200", "C200", "K100"]
+)
 def test_eigenvectors_carry_no_kernel_component(g):
-    # The kernel is reflected out before the solve: z_1 = 1/sqrt(n) exactly,
-    # and every other eigenvector is orthogonal to 1 to rounding.
-    eig = build_cache(g).eig
-    z = eig.eigenvectors
-    assert eig.eigenvalues[0] == 0.0
+    # The kernel is projected out after the solve: z_1 = 1/sqrt(n) exactly,
+    # every other eigenvector is orthogonal to 1 to rounding, and the state's
+    # eigenpairs are still eigenpairs of L and orthonormal.
+    state = build_cache(g)
+    w, z = state.eig.eigenvalues, state.eig.eigenvectors
+    assert w[0] == 0.0
     assert np.all(z[:, 0] == 1.0 / np.sqrt(g.n))
     assert np.max(np.abs(z[:, 1:].sum(axis=0))) <= 1e-13
+    assert np.max(np.abs(state.laplacian @ z - z * w)) <= 1e-13 * max(1.0, w[-1])
+    assert np.max(np.abs(z.T @ z - np.eye(g.n))) <= 1e-13
 
 
 def test_distance_matrix_on_graph_solves_once(jacobi_calls):
@@ -120,10 +125,9 @@ VERIFY_IDS = ["K5", "K4-", "P9"]
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
 def test_verify_solve_count(jacobi_calls, g):
-    # One solve of L(G) with its kernel reflected out, so of the trailing
-    # (n-1)x(n-1) block; the rebuild of the first addition factors G + e.
+    # One solve of L(G); the rebuild of the first addition factors G + e.
     verify_graph(g)
-    assert jacobi_calls == [(g.n - 1, g.n - 1)]
+    assert jacobi_calls == [(g.n, g.n)]
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS[1:], ids=VERIFY_IDS[1:])
@@ -178,11 +182,11 @@ def test_state_rejects_disconnected_graph(jacobi_calls):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_largest_eigenvalue_is_a_solver_defect(monkeypatch, bad):
     def broken(a):
-        # The block solve of the state, with its largest eigenvalue replaced.
+        # The solve of the state, with its largest eigenvalue replaced.
         eig = eigendecompose(a)
         w = eig.eigenvalues.copy()
         w[-1] = bad
-        assert not has_spectral_gap(np.concatenate(([0.0], w)))
+        assert not has_spectral_gap(w)
         return dataclasses.replace(eig, eigenvalues=w)
 
     monkeypatch.setattr(biharmonic.metrics, "eigendecompose", broken)

@@ -289,9 +289,10 @@ class TestSupportedSizes:
             hypercube_graph(7),
             path_graph(100),
             cycle_graph(200),
-            # P200 PASSes too, but without margin: its pseudoinverse row sums
-            # (about 9e-9 against the absolute 1e-8) are rounding in entries of
-            # pinv2 up to 1.8e5, so they move with the order of summation.
+            # P200 PASSes too, but with little margin: its pseudoinverse row
+            # sums (about 5.6e-9 against the absolute 1e-8) are rounding in
+            # entries of pinv2 up to 1.8e5, so they move with the order of
+            # summation.
         ],
         ids=["G(160,0.04)", "G(200,0.03)", "K100", "Q7", "P100", "C200"],
     )
