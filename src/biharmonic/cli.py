@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import graphs, metrics, verification
-from .graphs import DisconnectedGraphError, EdgeListFormatError
 from .verification import flag, fmt
 
 
@@ -27,7 +26,7 @@ def _index_set(indices) -> str:
 
 
 def cmd_gen(args) -> int:
-    g = graphs.generate(args.family, *args.params)
+    g = graphs.generate(args.family, *(graphs._parse_int(p, "family parameter") for p in args.params))
     graphs.write_edge_list(g, args.output)
     print(f"wrote {args.output}: n={g.n} m={g.m}")
     return 0
@@ -43,8 +42,8 @@ def _require_finite(values: dict) -> None:
 
 def cmd_dist(args) -> int:
     g = graphs.read_edge_list(args.path)
+    u, v = metrics._check_pair(g.n, *(graphs._parse_int(x, "vertex") for x in (args.u, args.v)))
     cache = metrics.SpectralCache(g)
-    u, v = metrics._check_pair(g.n, args.u, args.v)
     if u == v and args.method in ("det", "all"):
         print(
             "warning: distance from a vertex to itself is 0 by definition; "
@@ -101,7 +100,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = graphs.read_edge_list(args.path)
-    r = metrics.bounds_report(g, args.u, args.v)
+    r = metrics.bounds_report(g, *(graphs._parse_int(x, "vertex") for x in (args.u, args.v)))
     _require_finite({"lower": r.lower, "value": r.value, "upper": r.upper})
     print(f"lower {fmt(r.lower)}")
     print(f"value {fmt(r.value)}")
@@ -122,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a family graph and write it as an edge list")
     gen.add_argument("family", help="complete, path, cycle, wheel, hypercube, or k4minus")
-    gen.add_argument("params", nargs="*", type=int, help="family size parameters")
+    gen.add_argument("params", nargs="*", help="family size parameters")
     gen.add_argument("-o", "--output", required=True, help="output file path")
     gen.set_defaults(func=cmd_gen)
 
     dist = sub.add_parser("dist", help="biharmonic distance between two vertices")
     dist.add_argument("path")
-    dist.add_argument("u", type=int)
-    dist.add_argument("v", type=int)
+    dist.add_argument("u")
+    dist.add_argument("v")
     dist.add_argument(
         "--method",
         choices=[*metrics.ROUTES, "all"],
@@ -152,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="two-sided spectral bounds and attainment analysis")
     bounds.add_argument("path")
-    bounds.add_argument("u", type=int)
-    bounds.add_argument("v", type=int)
+    bounds.add_argument("u")
+    bounds.add_argument("v")
     bounds.set_defaults(func=cmd_bounds)
 
     return parser
@@ -170,7 +169,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EdgeListFormatError, DisconnectedGraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # EdgeListFormatError and DisconnectedGraphError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

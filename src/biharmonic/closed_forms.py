@@ -79,7 +79,7 @@ def complement_distance(eig: EigenDecomposition, u: int, v):
     n = eig.n
     u, v = _check_pair(n, u, v)
     gaps = n - eig.eigenvalues
-    if not has_spectral_gap(np.concatenate(([0.0], np.sort(gaps[1:])))):
+    if not has_spectral_gap(gaps[1:]):
         raise DisconnectedGraphError(
             "complement is disconnected (largest Laplacian eigenvalue reaches n)"
         )
@@ -104,7 +104,7 @@ def cartesian_distance(
     """
     w1 = eig1.eigenvalues.copy()
     w2 = eig2.eigenvalues.copy()
-    if not (has_spectral_gap(w1) and has_spectral_gap(w2)):
+    if not (has_spectral_gap(w1[1:]) and has_spectral_gap(w2[1:])):
         raise DisconnectedGraphError("Cartesian factor is disconnected")
     w1[0] = w2[0] = 0.0
     z1, z2 = eig1.eigenvectors, eig2.eigenvectors
@@ -162,12 +162,12 @@ def _cayley_spectrum(spec: CayleySpec) -> tuple[np.ndarray, np.ndarray]:
     |S| - alpha(chi). Raises DisconnectedGraphError when the connection set
     S does not generate the group."""
     table = character_table(spec)
-    gaps = len(spec.connection_set) - table.adjacency_eigenvalues
-    if not has_spectral_gap(np.sort(gaps)):
+    gaps = len(spec.connection_set) - table.adjacency_eigenvalues[1:]
+    if not has_spectral_gap(gaps):
         raise DisconnectedGraphError(
             "connection set does not generate the group (zero spectral gap)"
         )
-    return table.characters[:, 1:], gaps[1:]
+    return table.characters[:, 1:], gaps
 
 
 def cayley_distance(spec: CayleySpec, u, v):

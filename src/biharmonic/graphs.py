@@ -24,23 +24,35 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation requires a connected graph."""
 
 
-def _as_integer(x, what: str) -> int:
-    """x as an int when it is a Python or numpy integer; a float or any
-    other value raises ValueError instead of being truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+def _as_integer(x, what: str, n: int | None = None) -> int:
+    """x as a Python int, in [0, n) when n is given: the one check of every
+    size, vertex, endpoint, residue and index. ValueError for a bool, a
+    float, a string or anything else that operator.index refuses."""
+    if x.__class__ is not int:  # an int needs no conversion, on every edge endpoint
+        try:
+            if x.__class__ is bool:
+                raise TypeError
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if n is not None and not 0 <= x < n:
+        raise ValueError(f"{what} {x} out of range [0, {n})")
+    return x
 
 
-def _ordered(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _parse_int(text: str, what: str) -> int:
+    """The integer text spells as an optional sign and ASCII digits, else
+    ValueError; int() alone also reads "1_0" as 10 and a fullwidth "3" as 3."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    return int(text)
 
 
 def _edge(n: int, u, v) -> tuple[int, int]:
     """The pair as integers (u, v), u < v, of a simple graph on 0..n-1."""
     u, v = _as_integer(u, "edge endpoint"), _as_integer(v, "edge endpoint")
-    if u > v:  # inline, not _ordered: one call fewer per edge of make_graph
+    if u > v:
         u, v = v, u
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
@@ -58,16 +70,19 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if _as_integer(self.n, "vertex count") < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        object.__setattr__(self, "edges", frozenset(_edge(self.n, u, v) for u, v in self.edges))
+        n = _as_integer(self.n, "vertex count")
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(_edge(n, u, v) for u, v in self.edges))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and _ordered(u, v) in self.edges
+        u, v = _as_integer(u, "vertex", self.n), _as_integer(v, "vertex", self.n)
+        return u != v and (min(u, v), max(u, v)) in self.edges
 
     def _endpoints(self) -> np.ndarray:
         """The edges as a (2, m) integer array: row 0 the smaller endpoints."""
@@ -103,14 +118,17 @@ def make_graph(n: int, edges) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    n = _as_integer(n, "vertex count")
     return make_graph(n, itertools.combinations(range(n), 2))
 
 
 def path_graph(n: int) -> Graph:
+    n = _as_integer(n, "vertex count")
     return make_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _as_integer(n, "vertex count")
     if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n}")
     return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
@@ -118,6 +136,7 @@ def cycle_graph(n: int) -> Graph:
 
 def wheel_graph(n: int) -> Graph:
     """Wheel on n vertices: hub 0 joined to the rim cycle 1..n-1."""
+    n = _as_integer(n, "vertex count")
     if n < 4:
         raise ValueError(f"wheel graph needs n >= 4, got {n}")
     rim = n - 1
@@ -128,6 +147,7 @@ def wheel_graph(n: int) -> Graph:
 
 def hypercube_graph(d: int) -> Graph:
     """d-cube on 2**d vertices; bit i of the vertex index is coordinate i."""
+    d = _as_integer(d, "hypercube dimension")
     if d < 1:
         raise ValueError(f"hypercube needs dimension >= 1, got {d}")
     n = 1 << d
@@ -197,8 +217,7 @@ class CayleySpec:
             raise ValueError(f"cyclic orders must be positive, got {orders}")
         members = set()
         for s in self.connection_set:
-            self.element_index(s)  # raises on a wrong arity or residue
-            if all(x == 0 for x in s):
+            if self.element_index(s) == 0:  # raises on a wrong arity or residue
                 raise ValueError("connection set must not contain the identity")
             if s in members:
                 raise ValueError(f"duplicate connection-set element {s}")
@@ -218,10 +237,7 @@ class CayleySpec:
         """Mixed-radix index; the first coordinate is least significant."""
         if len(element) != len(self.cyclic_orders):
             raise ValueError(f"element {element} has wrong arity for orders {self.cyclic_orders}")
-        for x, m in zip(element, self.cyclic_orders):
-            if not (isinstance(x, (int, np.integer)) and 0 <= x < m):
-                raise ValueError(f"residue {x!r} out of range for order {m}")
-        return int(self._index(element))
+        return int(self._index([_as_integer(x, "residue", m) for x, m in zip(element, self.cyclic_orders)]))
 
     def elements(self) -> np.ndarray:
         """The (N, r) residue table: row i is the element whose index is i."""
@@ -291,7 +307,7 @@ def parse_edge_list(text) -> Graph:
     if len(parts) != 2:
         raise EdgeListFormatError(f"line {header_no}: header must be 'n m', got {header!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = (_parse_int(p, "header") for p in parts)
     except ValueError:
         raise EdgeListFormatError(f"line {header_no}: header must be two integers, got {header!r}") from None
     if n < 1:
@@ -305,14 +321,9 @@ def parse_edge_list(text) -> Graph:
         if len(parts) != 2:
             raise EdgeListFormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListFormatError(f"line {lineno}: vertices must be integers, got {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListFormatError(f"line {lineno}: vertex out of range [0, {n}) in edge ({u}, {v})")
-        if u == v:
-            raise EdgeListFormatError(f"line {lineno}: self-loop at vertex {u}")
-        edge = _ordered(u, v)
+            edge = _edge(n, _parse_int(parts[0], "vertex"), _parse_int(parts[1], "vertex"))
+        except ValueError as exc:
+            raise EdgeListFormatError(f"line {lineno}: {exc}") from None
         if edge in edges:
             raise EdgeListFormatError(f"line {lineno}: duplicate edge ({edge[0]}, {edge[1]})")
         edges.add(edge)

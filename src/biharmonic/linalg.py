@@ -26,11 +26,12 @@ routines are fast enough and their rounding behavior is easy to reason about.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .graphs import _as_integer
 
 MAX_QL_ITERATIONS = 30  # per eigenvalue, as in EISPACK tql2
 GROUPING_FACTOR = 1e-8  # equal eigenvalues: groups here, metrics.has_spectral_gap
@@ -257,21 +258,13 @@ def principal_minor_det(a, removed=()) -> float:
     of the :func:`cholesky_log_det` of the kept block; it is inf once the
     determinant exceeds the largest double.
 
-    ``removed`` is any iterable of 0-based integer indices; a float or any
-    other value raises ``ValueError``. The kept block must be symmetric
-    positive definite, or :func:`cholesky` raises
-    ``numpy.linalg.LinAlgError``. The empty minor has determinant 1.
+    ``removed`` is any iterable of 0-based integer indices; a bool, a float
+    or any other value raises ``ValueError`` (see graphs._as_integer). The
+    kept block must be symmetric positive definite, or :func:`cholesky`
+    raises ``numpy.linalg.LinAlgError``. The empty minor has determinant 1.
     """
     a = np.asarray(a, dtype=float)
     n = _check_square(a)
-    drop = set()
-    for i in removed:
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise ValueError(f"index {i!r} is not an integer") from None
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for a {n}x{n} matrix")
-        drop.add(i)
+    drop = {_as_integer(i, "index", n) for i in removed}
     keep = [i for i in range(n) if i not in drop]
     return float(np.exp(cholesky_log_det(cholesky(a[np.ix_(keep, keep)]))))

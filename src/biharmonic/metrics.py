@@ -39,7 +39,6 @@ here rejects.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, is_connected
+from .graphs import DisconnectedGraphError, Graph, _as_integer, is_connected
 from .linalg import (
     GROUPING_FACTOR,
     EigenDecomposition,
@@ -99,7 +98,7 @@ class SpectralCache:
         w[0] = 0.0
         z[:, 0] = 1.0 / math.sqrt(self.graph.n)
         z[:, 1:] -= z[:, 1:].mean(axis=0)
-        if not has_spectral_gap(w):
+        if not has_spectral_gap(w[1:]):
             # The graph passed the traversal test, so this is a solver defect.
             bad = w[~np.isfinite(w)]
             raise np.linalg.LinAlgError(
@@ -172,8 +171,9 @@ class SpectralCache:
         graphs. Memoized per vertex (n - u numbers; the factor is dropped),
         so the matrix-tree check reads the log determinants the route made.
         """
+        n = self.graph.n
+        u = _as_integer(u, "vertex", n)
         if u not in self._grounded:
-            n = self.graph.n
             keep = np.arange(n) != u
             low = cholesky(self.laplacian_squared[np.ix_(keep, keep)])
             log_minor = cholesky_log_det(low)
@@ -191,14 +191,13 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
     return symmetrize(x.T @ x)
 
 
-def has_spectral_gap(w: np.ndarray) -> bool:
-    """True when the second-smallest of the ascending Laplacian eigenvalues w
-    is clearly nonzero (eigendecompose would not group it with the kernel),
-    which certifies a connected graph. A nan eigenvalue, or a largest one
-    that is nan or inf, gives False."""
-    return len(w) < 2 or (
-        math.isfinite(w[-1]) and bool(w[1] > GROUPING_FACTOR * max(1.0, float(w[-1])))
-    )
+def has_spectral_gap(nonzero: np.ndarray) -> bool:
+    """True when the Laplacian eigenvalues other than the kernel's, in any
+    order, are all finite and the smallest exceeds GROUPING_FACTOR times the
+    largest of them and 1 (so eigendecompose would not group it with the
+    kernel), which certifies a connected graph. One vertex has none: True."""
+    top = float(nonzero.max(initial=1.0))
+    return math.isfinite(top) and bool(nonzero.min(initial=np.inf) > GROUPING_FACTOR * top)
 
 
 def build_cache(g: Graph) -> SpectralCache:
@@ -238,21 +237,15 @@ def _check_pair(n: int, u, v) -> tuple[int, object]:
 
 
 def _check_vertices(n: int, v):
-    """v checked as one vertex (an int comes back) or an integer array of
-    vertices (any empty array is one) of 0..n-1; ValueError otherwise. A
-    bool is not a vertex, as a Python scalar no more than in an array."""
-    try:
-        if isinstance(v, bool):
-            raise TypeError
-        v = operator.index(v)
-    except TypeError:
-        vs = np.asarray(v)
-        if vs.size and not (vs.dtype.kind in "iu" and 0 <= vs.min() and vs.max() < n):
-            raise ValueError(f"vertices {v!r} are not all integers in [0, {n})") from None
-        return vs.astype(int, copy=False)
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range [0, {n})")
-    return v
+    """v checked as one vertex (graphs._as_integer; an int comes back) or an
+    integer array of vertices (any empty array is one) of 0..n-1; ValueError
+    otherwise. A bool is not a vertex, as a scalar no more than in an array."""
+    if isinstance(v, int) or not np.ndim(v):
+        return _as_integer(v, "vertex", n)
+    vs = np.asarray(v)
+    if vs.size and not (vs.dtype.kind in "iu" and 0 <= vs.min() and vs.max() < n):
+        raise ValueError(f"vertices {v!r} are not all integers in [0, {n})")
+    return vs.astype(int, copy=False)
 
 
 def _require_distinct(u: int, v, what: str) -> None:

@@ -329,6 +329,19 @@ class TestErrorsAndDeterminism:
         _, err = capsys.readouterr()
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["dist", "{path}", "0", "1_0"], ["bounds", "{path}", "1_0", "0"], ["gen", "path", "1_1", "-o", "{path}"]],
+        ids=["dist", "bounds", "gen"],
+    )
+    def test_integer_text_is_strict(self, graph_file, capsys, argv):
+        # int() alone would read "1_0" as vertex 10 of this 11-vertex path.
+        path = graph_file("p11.g", path_graph(11))
+        assert main([a.format(path=path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "must be an integer, got '1_" in err
+
     def test_missing_arguments(self, capsys):
         assert main(["dist"]) == 2
         capsys.readouterr()

@@ -403,13 +403,13 @@ class TestCayleyDistance:
             cayley_distance(spec, (0, 0), (1, 4))
         with pytest.raises(ValueError, match="out of range"):
             cayley_distance(spec, 0, 8)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="vertex must be an integer, got 2.5"):
             cayley_distance(spec, 0, 2.5)
         with pytest.raises(ValueError, match="integers"):
             cayley_distance(spec, 0, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="residue must be an integer, got 0.5"):
             cayley_distance(spec, (0, 0.5), 1)
-        with pytest.raises(ValueError, match="residue 1.7"):
+        with pytest.raises(ValueError, match="residue must be an integer, got 1.7"):
             CayleySpec((4,), ((1.7,), (3,)))
         with pytest.raises(ValueError, match="cyclic order must be an integer"):
             CayleySpec((4.5,), ((1,), (3,)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,8 +58,21 @@ class TestParseEdgeList:
             parse_edge_list("2 1\n0 1 2\n")
 
     def test_non_integer(self):
-        with pytest.raises(EdgeListFormatError, match="integers"):
+        with pytest.raises(EdgeListFormatError, match="line 2: vertex must be an integer, got 'x'"):
             parse_edge_list("2 1\n0 x\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff13", "\u00b2", "+-1", "0x1", "1.0"])
+    def test_integer_text_is_strict(self, token):
+        # int() alone reads "1_0" as 10 and the fullwidth digit three as 3.
+        with pytest.raises(EdgeListFormatError, match=re.escape(f"line 3: vertex must be an integer, got {token!r}")):
+            parse_edge_list(f"11 2\n0 1\n0 {token}\n")
+        with pytest.raises(EdgeListFormatError, match="line 1: header must be two integers"):
+            parse_edge_list(f"{token} 0\n")
+
+    def test_signed_integer_text(self):
+        assert parse_edge_list("+3 2\n+0 1\n1 02\n").edges == path_graph(3).edges
+        with pytest.raises(EdgeListFormatError, match=r"line 2: edge \(-1, 0\) out of range"):
+            parse_edge_list("3 1\n0 -1\n")
 
     def test_duplicate_edge(self):
         with pytest.raises(EdgeListFormatError, match="duplicate"):
@@ -112,6 +126,9 @@ class TestGenerators:
         g = generate("k4minus")
         assert tuple(g.degrees()) == (3, 2, 3, 2)
         assert not g.has_edge(1, 3)
+        assert g.has_edge(np.int64(2), 1) and not g.has_edge(2, 2)
+        with pytest.raises(ValueError, match=r"vertex 4 out of range \[0, 4\)"):
+            g.has_edge(0, 4)
 
     def test_wheel_shape(self):
         g = wheel_graph(5)

@@ -235,7 +235,7 @@ class TestPrincipalMinorDet:
             principal_minor_det(np.eye(3), {3})
         # A float or a string is not truncated to the index it resembles.
         for bad in (1.7, "1"):
-            with pytest.raises(ValueError, match="not an integer"):
+            with pytest.raises(ValueError, match="index must be an integer"):
                 principal_minor_det(np.eye(3), (bad,))
 
 

@@ -137,18 +137,18 @@ class TestFourMethods:
 
     def test_non_integer_vertex_rejected(self):
         cache = build_cache(path_graph(5))
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="vertex must be an integer"):
             biharmonic_pinv_entries(cache, 0.9, 3)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="vertex must be an integer"):
             resistance_distance(cache, 0, 4.99)
         with pytest.raises(ValueError, match="integers"):
             all_methods(cache, 0, np.array([1.5, 3.7]))
         with pytest.raises(ValueError, match="integers"):
             biharmonic_spectral(cache, 0, [1, 2.5])
-        for flag in (np.array([True, False]), True):
-            with pytest.raises(ValueError, match="integers"):
+        for flag, message in ((np.array([True, False]), "integers"), (True, "vertex must be an integer")):
+            with pytest.raises(ValueError, match=message):
                 biharmonic_minnorm(cache, 0, flag)
-            with pytest.raises(ValueError, match="integers"):
+            with pytest.raises(ValueError, match=message):
                 biharmonic_spectral(cache, flag, 3)
         assert biharmonic_spectral(cache, 0, np.array([])).shape == (0,)
         assert biharmonic_spectral(cache, np.int32(0), np.array(3)) == biharmonic_spectral(cache, 0, 3)
@@ -183,6 +183,16 @@ class TestFourMethods:
                 report = all_methods(cache, int(u), int(v))
                 worst = max(worst, report.max_relative_spread)
         assert worst <= 1e-8
+
+
+class TestSpectralGap:
+    def test_any_order(self):
+        gap = biharmonic.metrics.has_spectral_gap
+        assert gap(np.array([4.0, 1.0, 2.0])) and gap(np.array([])) and gap(np.array([1e-7]))
+        for bad in ([4.0, 0.0, 2.0], [4.0, 1e-9, 2.0], [1.0, -3.0], [1.0, math.nan], [math.inf, 1.0], [-math.inf]):
+            assert not gap(np.array(bad)), bad
+        # The floor scales with the largest eigenvalue once it passes 1.
+        assert gap(np.array([1e3, 2e-5])) and not gap(np.array([1e3, 5e-6]))
 
 
 class TestDistanceMatrix:
