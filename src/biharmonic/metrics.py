@@ -17,13 +17,13 @@ Every route takes one vertex u against one vertex v or an array of vertices,
 so that `verify` reads all pairs one row u at a time. The state caches what
 the rows share: the eigendecomposition and both pseudoinverses for the
 spectral and pinv routes, the inverse S^-1 of S = L + J/n for the min-norm
-route, and for the determinant route, per vertex u, the log determinant of
-M_u = L^2 without row and column u and the distances from u to all v > u
-(n - u numbers from one Cholesky factorization, the factor dropped). A verify
-thus costs one eigensolve and n + 2 Cholesky factorizations (the n minors
-M_u, the tree-count minor of L and S), plus one of S' = L + bb' + J/n that
-rebuilds the index of the first edge addition uv, b = e_u - e_v, as a spot
-check of its closed form.
+route, and for the determinant route the inverse of M_0 = L^2 without row and
+column 0, padded and scaled so that every pair is one quadratic form in it,
+as in the pinv route. A verify thus costs one eigensolve and n + 3 Cholesky
+factorizations (M_0, the tree-count minor of L, S, and the n minors of L^2
+that the matrix-tree check compares with n tau^2), plus one of
+S' = L + bb' + J/n that rebuilds the index of the first edge addition uv,
+b = e_u - e_v, as a spot check of its closed form.
 
 The module also provides the biharmonic index (half the sum of all squared
 pairwise distances, equal to n times the sum of inverse squared nonzero
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -69,14 +69,13 @@ class SpectralCache:
     """Lazy per-graph state of a connected graph, shared by every route and query.
 
     The graph is the only field; everything derived from it is a cached
-    property, computed on first use, or a row memoized by :meth:`grounded`.
-    pinv, pinv2 and pinv3 come from the spectral sum with the kernel direction
-    dropped. The determinant and minimum-norm routes read only L^2, the log
-    tree count and the inverse of L + J/n, so they never run the eigensolver.
+    property, computed on first use. pinv, pinv2 and pinv3 come from the
+    spectral sum with the kernel direction dropped. The determinant and
+    minimum-norm routes read only the grounded inverse of L^2 and the inverse
+    of L + J/n, so they never run the eigensolver.
     """
 
     graph: Graph
-    _grounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_connected(self.graph):
@@ -153,41 +152,32 @@ class SpectralCache:
     @cached_property
     def shifted_inverse(self) -> np.ndarray:
         """S^-1 for S = L + J/n, from its Cholesky factor; it equals L^+ + J/n."""
-        return _spd_inverse(self.laplacian + 1.0 / self.graph.n)
+        return _spd_inverse(cholesky(self.laplacian + 1.0 / self.graph.n))
 
-    def grounded(self, u: int) -> tuple[float, np.ndarray]:
-        """(log det M_u, determinant-route distances from u to v = u+1 .. n-1),
-        where M_u is L^2 without row and column u.
+    @cached_property
+    def grounded_inverse(self) -> np.ndarray:
+        """G = M_0^-1 padded with a zero row and column 0, times
+        det(M_0) / (n tau^2), where M_0 is L^2 without row and column 0.
 
-        M_u is positive definite on a connected graph, since L^2 is positive
-        semidefinite with kernel span(1). By Jacobi's complementary-minor
-        identity det((L^2)_-u,-v) = det(M_u) [M_u^-1]_vv, and with the
-        Cholesky factor M_u = R R^T the diagonal of M_u^-1 = R^-T R^-1 is the
-        squared column norms of R^-1. Each v > u sits at row v - 1 of M_u,
-        and columns u.. of R^-1 are the inverse of R's trailing block, so
-        one factorization gives every
-        d(u, v)^2 = exp(log det M_u + log [M_u^-1]_vv - log n - 2 log tau),
-        in the log domain because the minors overflow a double on dense
-        graphs. Memoized per vertex (n - u numbers; the factor is dropped),
-        so the matrix-tree check reads the log determinants the route made.
+        M_0 is positive definite on a connected graph, since L^2 is positive
+        semidefinite with kernel span(1). So (e_u - e_v)' G (e_u - e_v) is the
+        same for any grounding vertex, and by Jacobi's complementary-minor
+        identity it equals det((L^2)_-u,-v) / (n tau^2): every squared
+        determinant-route distance from one Cholesky factor. The scale is
+        taken in logs, as the minors overflow a double on dense graphs.
         """
         n = self.graph.n
-        u = _as_integer(u, "vertex", n)
-        if u not in self._grounded:
-            keep = np.arange(n) != u
-            low = cholesky(self.laplacian_squared[np.ix_(keep, keep)])
-            log_minor = cholesky_log_det(low)
-            inverse_diagonal = np.sum(triangular_inverse(low[u:, u:]) ** 2, axis=0)
-            tail = np.exp(
-                0.5 * (log_minor + np.log(inverse_diagonal) - np.log(n)) - self.log_tree_count
-            )
-            self._grounded[u] = (log_minor, tail)
-        return self._grounded[u]
+        low = cholesky(self.laplacian_squared[1:, 1:])
+        grounded = np.zeros((n, n))
+        grounded[1:, 1:] = _spd_inverse(low) * np.exp(
+            cholesky_log_det(low) - np.log(n) - 2.0 * self.log_tree_count
+        )
+        return grounded
 
 
-def _spd_inverse(a: np.ndarray) -> np.ndarray:
-    """The inverse of a positive definite a, from its Cholesky factor."""
-    x = triangular_inverse(cholesky(a))
+def _spd_inverse(low: np.ndarray) -> np.ndarray:
+    """The inverse of the positive definite low low', from its Cholesky factor."""
+    x = triangular_inverse(low)
     return symmetrize(x.T @ x)
 
 
@@ -308,16 +298,14 @@ def biharmonic_determinant(graph_or_cache, u: int, v):
     sqrt(n) times the spanning-tree count.
 
     This route never touches the eigendecomposition, so it is an independent
-    check on the spectral ones. It requires distinct vertices. The pair
-    reads row min(u, v) of SpectralCache.grounded, so that the distances
-    from u to every v > u come from one Cholesky factorization and the
-    result is exactly symmetric.
+    check on the spectral ones. It requires distinct vertices. Every pair is
+    the quadratic form of e_u - e_v in SpectralCache.grounded_inverse, so
+    all pairs come from one Cholesky factorization and the result is exactly
+    symmetric.
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
     _require_distinct(u, v, "the determinant formula")
-    values = [cache.grounded(min(u, x))[1][abs(x - u) - 1] for x in np.ravel(v).tolist()]
-    # Shaped like v; [()] turns the 0-d array of a single vertex into a scalar.
-    return _per_vertex(np.array(values).reshape(np.shape(v))[()])
+    return _per_vertex(_sqrt_clamped(_pair_form(cache.grounded_inverse, u, v)))
 
 
 def biharmonic_minnorm(graph_or_cache, u: int, v):
@@ -615,5 +603,5 @@ def rebuilt_index(graph_or_cache, e: tuple[int, int]) -> float:
         raise ValueError(f"rebuilt_index takes one edge (u, v), got {e!r}")
     n = cache.graph.n
     b = np.eye(n)[u] - np.eye(n)[v]
-    pinv = _spd_inverse(cache.laplacian + np.outer(b, b) + 1.0 / n) - 1.0 / n
+    pinv = _spd_inverse(cholesky(cache.laplacian + np.outer(b, b) + 1.0 / n)) - 1.0 / n
     return n * float(np.sum(pinv * pinv))

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import closed_forms, graphs, metrics
+from . import closed_forms, graphs, linalg, metrics
 from .metrics import _worst
 
 SPREAD_TOLERANCE = 1e-8
@@ -176,11 +176,15 @@ def _check_monotonicity(cache: metrics.SpectralCache):
 def _check_matrix_tree(cache: metrics.SpectralCache):
     """Every minor det((L^2)_-v) against n tau^2, compared in logs so that
     neither side overflows; the printed tau must still be finite to pass.
-    The minors are the ones the determinant route factored."""
+    Each minor has its own Cholesky factor, which the determinant route
+    (grounded at vertex 0 only) does not share."""
     n = cache.graph.n
     tau = metrics.spanning_tree_count(cache)
     expected = np.log(n) + 2.0 * cache.log_tree_count
-    worst = _worst(abs(np.exp(cache.grounded(v)[0] - expected) - 1.0) for v in range(n))
+    squared = cache.laplacian_squared
+    keeps = (np.arange(n) != v for v in range(n))
+    log_minors = (linalg.cholesky_log_det(linalg.cholesky(squared[np.ix_(k, k)])) for k in keeps)
+    worst = _worst(abs(np.exp(m - expected) - 1.0) for m in log_minors)
     ok = worst <= MATRIX_TREE_RELATIVE and math.isfinite(tau)
     detail = f"tau {fmt(tau)} worst relative defect {fmt(worst)}"
     if n <= 7:

@@ -60,7 +60,6 @@ ENTRIES = {
     "bounds_report v": lambda x: bounds_report(STATE, 3, x),
     "check_edge_monotonicity": lambda x: check_edge_monotonicity(STATE, (x, 3)),
     "rebuilt_index": lambda x: rebuilt_index(STATE, (x, 3)),
-    "SpectralCache.grounded": lambda x: STATE.grounded(x),
     "complement_distance": lambda x: complement_distance(STATE.eig, 3, x),
     "cartesian_distance": lambda x: cartesian_distance(STATE.eig, STATE.eig, (0, x), (2, 3)),
     "principal_minor_det": lambda x: principal_minor_det(2.0 * np.eye(3), [x]),
@@ -81,14 +80,6 @@ def test_numpy_integers_come_back_as_int():
     assert type(complete_graph(np.int32(4)).n) is int
     # verify reads n.bit_length(), which a numpy integer does not have.
     assert all(r.passed for r in verify_graph(Graph(np.int64(4), [(0, 1), (1, 2), (2, 3), (0, 3)])))
-
-
-def test_grounded_row_is_checked():
-    # The determinant route's row of a vertex outside 0..n-1 used to factor
-    # the whole singular L^2 and return a number.
-    for u in (-1, 5):
-        with pytest.raises(ValueError, match=f"vertex {u} out of range"):
-            STATE.grounded(u)
 
 
 def test_family_sizes_raise_value_error():

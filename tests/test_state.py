@@ -148,29 +148,36 @@ def test_rebuilt_index_without_eigensolver(jacobi_calls, monkeypatch, g):
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
 def test_verify_factorization_count(cholesky_calls, inverse_calls, g):
-    # n grounded minors of L^2 shared by the det route and the matrix-tree
-    # check, the tree-count minor of L, and L + J/n for the min-norm route;
-    # with a nonedge, also L(G+e) + J/n for the rebuild of the first addition.
+    # The n minors of L^2 for the matrix-tree check, M_0 = L^2 without row
+    # and column 0 for the det route, the tree-count minor of L, and L + J/n
+    # for the min-norm route; with a nonedge, also L(G+e) + J/n for the
+    # rebuild of the first addition.
     verify_graph(g)
     n = g.n
     rebuilt = 1 if g.nonedges() else 0
-    assert len(cholesky_calls) == n + 2 + rebuilt
+    assert len(cholesky_calls) == n + 3 + rebuilt
     assert cholesky_calls.count((n, n)) == 1 + rebuilt
-    # Row u of the det route inverts only the trailing n - 1 - u block of
-    # its factor; L + J/n (and L(G+e) + J/n) are inverted whole.
+    # Only the det route's M_0 and L + J/n (and L(G+e) + J/n) are inverted;
+    # the matrix-tree check stops at the log determinants.
     sizes = sorted(shape[0] for shape in inverse_calls)
-    assert sizes == sorted([n - 1 - u for u in range(n)] + [n] * (1 + rebuilt))
+    assert sizes == [n - 1] + [n] * (1 + rebuilt)
 
 
 def test_pair_reads_factor_once_per_row(cholesky_calls):
     state = SpectralCache(wheel_graph(6))
     for _ in range(2):
         biharmonic_determinant(state, 1, 3)
-        biharmonic_determinant(state, 3, 1)
+        biharmonic_determinant(state, 2, 4)
+        biharmonic_determinant(state, 4, 5)
+        biharmonic_determinant(state, 5, np.array([1, 2, 4]))
         biharmonic_minnorm(state, 1, 3)
         biharmonic_minnorm(state, 2, 4)
-    # row 1 of the det route, the tree-count minor, and L + J/n
+    # One factor serves every det row: M_0, the tree-count minor, and L + J/n.
     assert len(cholesky_calls) == 3
+
+
+def test_state_holds_only_the_graph():
+    assert [f.name for f in dataclasses.fields(SpectralCache)] == ["graph"]
 
 
 def test_state_rejects_disconnected_graph(jacobi_calls):
