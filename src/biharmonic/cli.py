@@ -7,7 +7,8 @@ defect stops the computation (an arithmetic error, a solver that does not
 converge, a matrix that should be positive definite and is not), 2 on usage
 or input errors (unreadable or malformed files, disconnected graphs, bad
 vertices or parameters). dist, matrix, index and bounds exit 1, printing
-nothing, when a number they would print is nan or inf.
+nothing, when a number they would print is nan or inf. A command that exits 0
+writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -44,16 +45,8 @@ def cmd_dist(args) -> int:
     g = graphs.read_edge_list(args.path)
     u, v = metrics._check_pair(g.n, *(graphs._parse_int(x, "vertex") for x in (args.u, args.v)))
     cache = metrics.SpectralCache(g)
-    if u == v and args.method in ("det", "all"):
-        print(
-            "warning: distance from a vertex to itself is 0 by definition; "
-            "the determinant formula needs distinct vertices and is skipped",
-            file=sys.stderr,
-        )
     if args.method != "all":
-        rows = {args.method: 0.0 if u == v else metrics.ROUTES[args.method](cache, u, v)}
-    elif u == v:
-        rows = dict.fromkeys([*metrics.ROUTES, "spread"], 0.0)
+        rows = {args.method: metrics.ROUTES[args.method](cache, u, v)}
     else:
         report = metrics.all_methods(cache, u, v)
         rows = dict(zip([*metrics.ROUTES, "spread"], [*report.values(), report.max_relative_spread]))

@@ -238,13 +238,6 @@ def _check_vertices(n: int, v):
     return vs.astype(int, copy=False)
 
 
-def _require_distinct(u: int, v, what: str) -> None:
-    """ValueError naming what needs distinct vertices when the checked v, a
-    vertex or an integer array of vertices, is or holds u."""
-    if v == u if isinstance(v, int) else u in v:
-        raise ValueError(f"{what} needs distinct vertices")
-
-
 def _per_vertex(values):
     """A route's result: the array of values for an array of vertices v, a
     Python scalar for a single vertex v (whose indexing gave a numpy scalar)."""
@@ -298,13 +291,12 @@ def biharmonic_determinant(graph_or_cache, u: int, v):
     sqrt(n) times the spanning-tree count.
 
     This route never touches the eigendecomposition, so it is an independent
-    check on the spectral ones. It requires distinct vertices. Every pair is
-    the quadratic form of e_u - e_v in SpectralCache.grounded_inverse, so
-    all pairs come from one Cholesky factorization and the result is exactly
-    symmetric.
+    check on the spectral ones. Every pair is the quadratic form of
+    e_u - e_v in SpectralCache.grounded_inverse, so all pairs come from one
+    Cholesky factorization and the result is exactly symmetric. The formula
+    itself needs u != v; at u == v the form is exactly 0.
     """
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    _require_distinct(u, v, "the determinant formula")
     return _per_vertex(_sqrt_clamped(_pair_form(cache.grounded_inverse, u, v)))
 
 
@@ -333,7 +325,7 @@ ROUTES = {
 
 def relative_spread(values):
     """(max - min) / max over the routes' values, elementwise when they are
-    arrays; nan as soon as any value is nan or inf."""
+    arrays; 0 where all are 0 (u == v), nan as soon as any value is nan or inf."""
     values = np.array(np.broadcast_arrays(*values))
     top = np.max(values, axis=0)
     with np.errstate(invalid="ignore"):
@@ -358,9 +350,8 @@ class MethodReport:
 
 def all_methods(graph_or_cache, u: int, v) -> MethodReport:
     """Run the four routes of ROUTES on u against a vertex v or an array of
-    vertices v, none of them u."""
+    vertices v."""
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    _require_distinct(u, v, "cross-method comparison")
     values = [route(cache, u, v) for route in ROUTES.values()]
     return MethodReport((u, v), *values, _per_vertex(relative_spread(values)))
 
@@ -457,7 +448,8 @@ class BoundsReport:
 
 def bounds_report(graph_or_cache, u: int, v) -> BoundsReport:
     cache, u, v = _cache_and_pair(graph_or_cache, u, v)
-    _require_distinct(u, v, "a bounds report")
+    if v == u if isinstance(v, int) else u in v:
+        raise ValueError("a bounds report needs distinct vertices")
     w = cache.eig.eigenvalues
     z = cache.eig.eigenvectors
     lower = float(np.sqrt(2.0) / w[-1])

@@ -143,10 +143,20 @@ def test_determinant_rows_match_numpy_at_200(g):
         assert np.all(np.abs(row - expected) <= LONG_ROW_AGREEMENT * expected), u
 
 
-def test_determinant_row_rejects_its_own_vertex():
-    for route in (biharmonic_determinant, all_methods):
-        with pytest.raises(ValueError, match="distinct"):
-            route(wheel_graph(5), 1, np.array([0, 1]))
+def test_determinant_row_reads_zero_at_its_own_vertex():
+    cache = SpectralCache(wheel_graph(7))
+    vs = np.arange(7)
+    others = np.delete(vs, 3)
+    row = biharmonic_determinant(cache, 3, vs)
+    assert row[3] == 0.0
+    assert np.delete(row, 3).tolist() == biharmonic_determinant(cache, 3, others).tolist()
+    report = all_methods(cache, 3, vs)
+    distinct = all_methods(cache, 3, others)
+    for field in ("spectral", "pinv_entries", "determinant", "min_norm", "max_relative_spread"):
+        assert getattr(report, field)[3] == 0.0, field
+        assert np.delete(getattr(report, field), 3).tolist() == getattr(distinct, field).tolist(), field
+    with pytest.raises(ValueError, match="needs distinct vertices"):
+        bounds_report(cache, 3, vs)
 
 
 def test_closed_form_drop_matches_rebuild(random_suite):

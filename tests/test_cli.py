@@ -85,19 +85,16 @@ class TestDist:
         spread = float(lines[4].removeprefix("spread "))
         assert 0.0 <= spread <= 1e-8
 
-    def test_same_vertex_det_warns_but_succeeds(self, graph_file, capsys):
+    @pytest.mark.parametrize("method", ["spectral", "pinv", "det", "minnorm", "all"])
+    def test_same_vertex(self, graph_file, capsys, method):
         path = graph_file("p3.g", path_graph(3))
-        assert main(["dist", path, "1", "1", "--method", "det"]) == 0
+        assert main(["dist", path, "1", "1", "--method", method]) == 0
         out, err = capsys.readouterr()
-        assert out == "0\n"
-        assert "distinct vertices" in err
-
-    def test_same_vertex_all(self, graph_file, capsys):
-        path = graph_file("p3.g", path_graph(3))
-        assert main(["dist", path, "1", "1", "--method", "all"]) == 0
-        out, err = capsys.readouterr()
-        assert out == "spectral 0\npinv 0\ndet 0\nminnorm 0\nspread 0\n"
-        assert "warning" in err
+        if method == "all":
+            assert out == "spectral 0\npinv 0\ndet 0\nminnorm 0\nspread 0\n"
+        else:
+            assert out == "0\n"
+        assert err == ""
 
     def test_vertex_out_of_range(self, graph_file, capsys):
         path = graph_file("k4.g", complete_graph(4))

@@ -119,14 +119,15 @@ class TestFourMethods:
             assert fn(cache, 2, 5) == fn(cache, 5, 2)
 
     def test_same_vertex(self):
-        g = path_graph(4)
-        assert biharmonic_spectral(g, 2, 2) == 0.0
-        assert biharmonic_pinv_entries(g, 2, 2) == 0.0
-        assert biharmonic_minnorm(g, 2, 2) == 0.0
-        with pytest.raises(ValueError, match="distinct"):
-            biharmonic_determinant(g, 2, 2)
-        with pytest.raises(ValueError, match="distinct"):
-            all_methods(g, 2, 2)
+        # Every route reads a vertex's distance to itself as exactly 0, the
+        # det route too: its pair form at u == v is m + m - 2m.
+        for g in (path_graph(4), complete_graph(1)):
+            for u in range(g.n):
+                for fn in biharmonic.metrics.ROUTES.values():
+                    assert fn(g, u, u) == 0.0
+                report = all_methods(g, u, u)
+                assert report.values() == (0.0, 0.0, 0.0, 0.0)
+                assert report.max_relative_spread == 0.0
 
     def test_vertex_out_of_range(self):
         g = path_graph(3)
@@ -325,7 +326,7 @@ class TestBounds:
                 assert rep.consistent
 
     def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="a bounds report needs distinct vertices"):
             bounds_report(path_graph(3), 1, 1)
 
 

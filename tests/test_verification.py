@@ -289,12 +289,14 @@ class TestSupportedSizes:
             hypercube_graph(7),
             path_graph(100),
             cycle_graph(200),
+            # The hub of W200 has degree 199, the largest in this list.
+            wheel_graph(200),
             # P200 PASSes too, but with little margin: its pseudoinverse row
             # sums (about 5.6e-9 against the absolute 1e-8) are rounding in
             # entries of pinv2 up to 1.8e5, so they move with the order of
             # summation.
         ],
-        ids=["G(160,0.04)", "G(200,0.03)", "K100", "Q7", "P100", "C200"],
+        ids=["G(160,0.04)", "G(200,0.03)", "K100", "Q7", "P100", "C200", "W200"],
     )
     def test_every_check_passes(self, g):
         results = verify_graph(g)
