@@ -7,10 +7,14 @@ matrix to tridiagonal form T = Q^T A Q, one numpy rank-2 update of the
 trailing block per column, and Q is accumulated backwards so that each
 reflector touches only its own trailing block. Implicitly shifted QL
 iterations then diagonalize T: a scalar recurrence on its diagonal and
-subdiagonal whose plane rotations are applied to adjacent rows of Z^T in
-place, so the eigenvectors come out orthonormal to rounding, which the
-spectral formulas downstream depend on. Everything is plain numpy in a fixed
-order, so the output is deterministic.
+subdiagonal whose plane rotations of adjacent rows of Z^T are logged and
+applied in waves (van Zee, van de Geijn and Quintana-Orti, ACM TOMS 40(3),
+2014): the rotations of one wave touch disjoint row pairs and go through one
+stacked matmul, and every row meets its rotations in their original order,
+so Z^T is bit for bit what rotating one pair at a time gives. The
+eigenvectors come out orthonormal to rounding, which the spectral formulas
+downstream depend on. Everything is plain numpy in a fixed order, so the
+output is deterministic.
 
 Linear systems go through an explicit Cholesky factorization, and the
 inverse of a triangular factor comes from forward substitution. Every
@@ -26,8 +30,10 @@ routines are fast enough and their rounding behavior is easy to reason about.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -98,22 +104,34 @@ def jacobi_eigh(a) -> EigenDecomposition:
     metrics key on ``linalg.jacobi_eigh``.
 
     Each QL iteration on the unreduced block l..m of T chooses Wilkinson's
-    shift from the leading 2x2 block, chases the bulge up from m with plane
-    rotations of adjacent rows, and rotates the same rows of Z^T. An
-    eigenvalue deflates once its subdiagonal entry is at most machine epsilon
-    times the largest |d_i| + |e_i| seen. Returns an
+    shift from the leading 2x2 block and chases the bulge up from m with
+    plane rotations of adjacent rows. An eigenvalue deflates once its
+    subdiagonal entry is at most machine epsilon times the largest
+    |d_i| + |e_i| seen. Each rotation of rows i, i + 1 is logged under its
+    wave, one past the last wave that touched either row. When eigenvalue l
+    deflates, every wave that no later rotation can join (later rotations
+    touch rows l + 1.. only) is complete, and :func:`_apply_waves` rotates
+    the same rows of Z^T, one stacked matmul per wave; so the log holds
+    only the waves still open, not every rotation of the solve. Returns an
     :class:`EigenDecomposition`: the eigenvalues ascending, the matching
     orthonormal eigenvectors as columns, and the solver's counters. Ties keep
     index order, so output is deterministic.
 
-    Raises ``numpy.linalg.LinAlgError`` when an eigenvalue has not deflated
-    after ``MAX_QL_ITERATIONS`` iterations, which signals a defect rather
-    than a property of the input.
+    Raises ``ValueError`` on a nan or inf entry (the deflation test would
+    read a nan subdiagonal as negligible), and ``numpy.linalg.LinAlgError``
+    when an eigenvalue has not deflated after ``MAX_QL_ITERATIONS``
+    iterations, which signals a defect rather than a property of the input.
     """
     n = _check_square(np.asarray(a, dtype=float))
-    d, e, zt = _tridiagonalize(symmetrize(a))
+    a = symmetrize(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a nan or inf entry")
+    d, e, zt = _tridiagonalize(a)
     shift = tst1 = off = 0.0
-    iterations = 0
+    iterations = rotations = 0
+    last = [0] * n  # the last wave that rotated each row
+    pending = defaultdict(partial(array, "d"))  # wave -> its (i, c, s), flat
+    applied = 0  # waves 1..applied have rotated Z^T
     for l in range(n):
         tst1 = max(tst1, abs(d[l]) + abs(e[l]))
         its = 0
@@ -156,7 +174,9 @@ def jacobi_eigh(a) -> EigenDecomposition:
                 c = p / r
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
-                zt[i : i + 2] = np.array(((c, -s), (s, c))) @ zt[i : i + 2]
+                wave = 1 + max(last[i], last[i + 1])
+                last[i] = last[i + 1] = wave
+                pending[wave].extend((i, c, s))
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l] = s * p
             d[l] = c * p
@@ -164,17 +184,47 @@ def jacobi_eigh(a) -> EigenDecomposition:
         off = max(off, abs(e[l]))
         d[l] += shift
         e[l] = 0.0
+        # Later rotations touch rows l + 1.. only, so the waves up to the
+        # oldest last wave among those rows are complete (all of them once
+        # the last eigenvalue is in).
+        complete = min(last[l + 1 :] or [max(last)])
+        if complete > applied:
+            waves = [pending.pop(wave) for wave in range(applied + 1, complete + 1)]
+            rotations += _apply_waves(zt, waves)
+            applied = complete
     w = np.array(d)
     order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], np.ascontiguousarray(zt[order].T), iterations, off)
+    return EigenDecomposition(
+        w[order], np.ascontiguousarray(zt[order].T), iterations, rotations, off
+    )
+
+
+def _apply_waves(zt: np.ndarray, waves: list[array]) -> int:
+    """Apply consecutive waves of logged rotations, each a flat run of
+    (i, c, s), to the rows of zt in place, and return how many there were.
+    The rotations of one wave touch disjoint row pairs, so one stacked
+    matmul per wave gives every pair the same 2x2 product, to the last bit,
+    as rotating it on its own."""
+    log = np.frombuffer(b"".join(waves)).reshape(-1, 3)
+    rows = log[:, :1].astype(np.intp) + (0, 1)
+    # ((c, -s), (s, c)) per rotation; a product with 1.0 or -1.0 is exact.
+    rot = (log[:, [1, 2, 2, 1]] * (1.0, -1.0, 1.0, 1.0)).reshape(-1, 2, 2)
+    lo = 0
+    for wave in waves:
+        hi = lo + len(wave) // 3
+        pairs = rows[lo:hi]
+        zt[pairs] = rot[lo:hi] @ zt[pairs]
+        lo = hi
+    return len(log)
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues, orthonormal eigenvector columns, and the
     counters of the solve: ``iterations``, the number of implicit QL
-    iterations, and ``off_diagonal``, the largest subdiagonal magnitude
-    neglected when an eigenvalue was deflated. ``eigenspace_groups``
+    iterations, ``rotations``, the number of plane rotations they applied,
+    and ``off_diagonal``, the largest subdiagonal magnitude neglected when an
+    eigenvalue was deflated. ``eigenspace_groups``
     partitions the indices into maximal runs of eigenvalues that agree within
     tolerance (needed to reason about eigenspaces, not just eigenvalues, in
     floating point)."""
@@ -182,6 +232,7 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     iterations: int
+    rotations: int
     off_diagonal: float
 
     @property
@@ -193,6 +244,8 @@ class EigenDecomposition:
         """Two adjacent eigenvalues land in the same group iff they differ by
         at most ``GROUPING_FACTOR * max(1, largest eigenvalue)``."""
         w = self.eigenvalues
+        if not len(w):
+            return ()
         tolerance = GROUPING_FACTOR * max(1.0, float(w[-1]))
         groups = [[0]]
         for i in range(1, len(w)):

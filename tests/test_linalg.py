@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from biharmonic import (
     complete_graph,
+    cycle_graph,
     eigendecompose,
     hypercube_graph,
     jacobi_eigh,
@@ -90,6 +92,21 @@ class TestJacobi:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             jacobi_eigh(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_subdiagonal(self, n, value):
+        # The deflation test reads max() of the |d_i| + |e_i|, which skips a
+        # nan, so a non-finite coupling would be neglected as if it were 0.
+        a = np.diag(np.arange(1.0, n + 1))
+        a[n - 2, n - 1] = a[n - 1, n - 2] = value
+        with pytest.raises(ValueError, match="nan or inf"):
+            jacobi_eigh(a)
+
+    def test_empty_matrix(self):
+        solved = jacobi_eigh(np.zeros((0, 0)))
+        assert solved.n == 0 and solved.eigenspace_groups == ()
+        assert (solved.iterations, solved.rotations, solved.off_diagonal) == (0, 0, 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -399,12 +416,14 @@ class TestSolverCounters:
     def test_diagonal_input_needs_no_sweep(self):
         for a in (np.diag([3.0, -1.0, 2.0]), np.zeros((4, 4)), [[5.0]]):
             solved = jacobi_eigh(a)
-            assert (solved.iterations, solved.off_diagonal) == (0, 0.0)
+            assert (solved.iterations, solved.rotations, solved.off_diagonal) == (0, 0, 0.0)
 
     def test_counters_on_reference_set(self, reference_cases):
         for lap, solved, _ in reference_cases:
             n = len(lap)
             assert 0 <= solved.iterations <= MAX_QL_ITERATIONS * n
+            # Every iteration chases its bulge with at least one rotation.
+            assert solved.iterations <= solved.rotations <= solved.iterations * max(n - 1, 0)
             if np.any(lap - np.diag(np.diag(lap))):
                 assert solved.iterations >= 1
             # Deflation neglects |e_l| <= eps * max(|d_i| + |e_i|), and the
@@ -416,13 +435,119 @@ class TestSolverCounters:
         eig = eigendecompose(lap)
         solved = jacobi_eigh(lap)
         assert solved.iterations >= 1
-        assert (eig.iterations, eig.off_diagonal) == (solved.iterations, solved.off_diagonal)
+        counters = (solved.iterations, solved.rotations, solved.off_diagonal)
+        assert (eig.iterations, eig.rotations, eig.off_diagonal) == counters
 
     def test_sweep_cap_raises(self, monkeypatch):
         a = random_symmetric(np.random.default_rng(61), 12)
         monkeypatch.setattr(linalg, "MAX_QL_ITERATIONS", 1)
         with pytest.raises(np.linalg.LinAlgError, match="QL iteration did not converge in 1 "):
             jacobi_eigh(a)
+
+
+def capture_waves(monkeypatch, a):
+    """Solve a, recording for each call of the wave helper Z^T before it, its
+    waves as (i, c, s) rows, and Z^T after it."""
+    calls = []
+    apply = linalg._apply_waves
+
+    def spy(zt, waves):
+        before = zt.copy()
+        logged = [np.frombuffer(wave).reshape(-1, 3).copy() for wave in waves]
+        count = apply(zt, waves)
+        calls.append((before, logged, zt.copy()))
+        return count
+
+    monkeypatch.setattr(linalg, "_apply_waves", spy)
+    solved = jacobi_eigh(a)
+    monkeypatch.undo()
+    return solved, calls
+
+
+def rotate_one_at_a_time(a):
+    """The QL solve with each rotation applied to Z^T as soon as the
+    recurrence makes it, as one 2x2 matmul on its two rows: the reference
+    that the wave-by-wave solve must match to the last bit. The recurrence
+    is jacobi_eigh's, line for line."""
+    d, e, zt = _tridiagonalize(symmetrize(a))
+    n = len(d)
+    shift = tst1 = 0.0
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        while True:
+            m = l
+            while abs(e[m]) > EPS * tst1:
+                m += 1
+            if m == l:
+                break
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.copysign(math.hypot(p, 1.0), p)
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, n):
+                d[i] -= h
+            shift += h
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            for i in range(m - 1, l - 1, -1):
+                c3, c2, s2 = c2, c, s
+                g = c * e[i]
+                h = c * p
+                r = math.hypot(p, e[i])
+                e[i + 1] = s * r
+                s = e[i] / r
+                c = p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                zt[i : i + 2] = np.array(((c, -s), (s, c))) @ zt[i : i + 2]
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+        d[l] += shift
+        e[l] = 0.0
+    w = np.array(d, dtype=float)
+    order = np.argsort(w, kind="stable")
+    return w[order], zt[order].T
+
+
+class TestRotationWaves:
+    """The QL rotations are logged during the scalar recurrence and applied
+    to Z^T in waves of disjoint row pairs, one stacked matmul per wave."""
+
+    @pytest.fixture(scope="class")
+    def laplacians(self, random_suite):
+        graphs = [path_graph(200), cycle_graph(200), complete_graph(150), hypercube_graph(6)]
+        return [g.laplacian() for g in graphs + list(random_suite)]
+
+    def test_replay_one_at_a_time_is_bit_identical(self, monkeypatch, laplacians):
+        for lap in laplacians:
+            solved, calls = capture_waves(monkeypatch, lap)
+            count = 0
+            for zt, waves, batched in calls:
+                for wave in waves:
+                    rows = wave[:, 0].astype(int)
+                    touched = np.concatenate((rows, rows + 1))
+                    assert len(np.unique(touched)) == len(touched)  # disjoint pairs
+                    for i, c, s in wave.tolist():
+                        i = int(i)
+                        zt[i : i + 2] = np.array(((c, -s), (s, c))) @ zt[i : i + 2]
+                    count += len(wave)
+                assert np.array_equal(zt, batched)
+            assert solved.rotations == count >= solved.iterations
+
+    def test_matches_rotating_one_at_a_time(self, laplacians):
+        # Each row meets its rotations in the order the recurrence made them,
+        # so the eigenpairs are those of the one-at-a-time solve, bit for bit.
+        for lap in laplacians:
+            solved = jacobi_eigh(lap)
+            w, z = rotate_one_at_a_time(lap)
+            assert np.array_equal(solved.eigenvalues, w)
+            assert np.array_equal(solved.eigenvectors, z)
 
 
 def dense_random_graph(n, seed):
