@@ -16,8 +16,8 @@ eigenvectors come out orthonormal to rounding, which the spectral formulas
 downstream depend on. Everything is plain numpy in a fixed order, so the
 output is deterministic.
 
-Linear systems go through an explicit Cholesky factorization, and the
-inverse of a triangular factor comes from forward substitution. Every
+Linear systems go through an explicit Cholesky factorization, and an inverse
+carries its column loop down the identity stacked under the matrix. Every
 determinant is of a positive definite matrix (a grounded minor of L or of
 L^2), and its one code path is the Cholesky factor: the log determinant is
 twice the sum of the logs of the factor's diagonal, so a determinant far
@@ -126,7 +126,10 @@ def jacobi_eigh(a) -> EigenDecomposition:
     a = symmetrize(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a nan or inf entry")
-    d, e, zt = _tridiagonalize(a)
+    # Solve a / 2^exponent, whose largest entry lies in [1/2, 1), so no
+    # squared norm under- or overflows; ldexp scales exactly, subnormals too.
+    exponent = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    d, e, zt = _tridiagonalize(np.ldexp(a, -exponent))
     shift = tst1 = off = 0.0
     iterations = rotations = 0
     last = [0] * n  # the last wave that rotated each row
@@ -192,7 +195,7 @@ def jacobi_eigh(a) -> EigenDecomposition:
             waves = [pending.pop(wave) for wave in range(applied + 1, complete + 1)]
             rotations += _apply_waves(zt, waves)
             applied = complete
-    w = np.array(d)
+    w, off = np.ldexp(d, exponent), math.ldexp(off, exponent)
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(
         w[order], np.ascontiguousarray(zt[order].T), iterations, rotations, off
@@ -263,11 +266,16 @@ def eigendecompose(a) -> EigenDecomposition:
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
+    """Lower-triangular Cholesky factor R of the positive definite leading
+    block A of a square or tall a, by one column loop down all of its rows:
+    rows B under A come back as B R^-T (the panel step of block Cholesky,
+    Golub and Van Loan, section 4.2), so B = I gives R^-T and A^-1 = R^-T R^-1.
+    A wide a raises ValueError; an A that is not positive definite, LinAlgError."""
     a = np.asarray(a, dtype=float)
-    n = _check_square(a)
-    low = np.zeros((n, n))
-    for j in range(n):
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ValueError(f"expected a square or tall matrix, got shape {a.shape}")
+    low = np.zeros(a.shape)
+    for j in range(a.shape[1]):
         # Column j from the diagonal down; its first entry is the squared pivot.
         col = a[j:, j] - low[j:, :j] @ low[j, :j]
         if not col[0] > 0.0:
@@ -287,17 +295,6 @@ def cholesky_solve(low: np.ndarray, b) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
     return x
-
-
-def triangular_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix with a nonzero diagonal, by forward
-    substitution: row i of the inverse follows from rows 0..i-1."""
-    n = _check_square(low)
-    inv = np.zeros((n, n))
-    for i in range(n):
-        inv[i, i] = d = 1.0 / low[i, i]
-        inv[i, :i] = (low[i, :i] @ inv[:i, :i]) * -d
-    return inv
 
 
 def cholesky_log_det(low: np.ndarray) -> float:

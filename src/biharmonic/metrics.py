@@ -23,7 +23,8 @@ as in the pinv route. A verify thus costs one eigensolve and n + 3 Cholesky
 factorizations (M_0, the tree-count minor of L, S, and the n minors of L^2
 that the matrix-tree check compares with n tau^2), plus one of
 S' = L + bb' + J/n that rebuilds the index of the first edge addition uv,
-b = e_u - e_v, as a spot check of its closed form.
+b = e_u - e_v, as a spot check of its closed form. Each inverse (of M_0, S
+and S') runs its factorization down the matrix stacked over I.
 
 The module also provides the biharmonic index (half the sum of all squared
 pairwise distances, equal to n times the sum of inverse squared nonzero
@@ -54,7 +55,6 @@ from .linalg import (
     cholesky_log_det,
     eigendecompose,
     symmetrize,
-    triangular_inverse,
 )
 
 ATTAINMENT_TOLERANCE = 1e-9
@@ -152,7 +152,7 @@ class SpectralCache:
     @cached_property
     def shifted_inverse(self) -> np.ndarray:
         """S^-1 for S = L + J/n, from its Cholesky factor; it equals L^+ + J/n."""
-        return _spd_inverse(cholesky(self.laplacian + 1.0 / self.graph.n))
+        return _spd_inverse(self.laplacian + 1.0 / self.graph.n)[1]
 
     @cached_property
     def grounded_inverse(self) -> np.ndarray:
@@ -167,18 +167,18 @@ class SpectralCache:
         taken in logs, as the minors overflow a double on dense graphs.
         """
         n = self.graph.n
-        low = cholesky(self.laplacian_squared[1:, 1:])
+        log_det, inverse = _spd_inverse(self.laplacian_squared[1:, 1:])
         grounded = np.zeros((n, n))
-        grounded[1:, 1:] = _spd_inverse(low) * np.exp(
-            cholesky_log_det(low) - np.log(n) - 2.0 * self.log_tree_count
-        )
+        grounded[1:, 1:] = inverse * np.exp(log_det - np.log(n) - 2.0 * self.log_tree_count)
         return grounded
 
 
-def _spd_inverse(low: np.ndarray) -> np.ndarray:
-    """The inverse of the positive definite low low', from its Cholesky factor."""
-    x = triangular_inverse(low)
-    return symmetrize(x.T @ x)
+def _spd_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log det a, a^-1) for a positive definite a: one Cholesky column loop
+    down a stacked over I returns its factor R over X = R^-T, and a^-1 = X X'."""
+    low = cholesky(np.vstack([a, np.eye(len(a))]))
+    x = low[len(a) :]
+    return cholesky_log_det(low[: len(a)]), symmetrize(x @ x.T)
 
 
 def has_spectral_gap(nonzero: np.ndarray) -> bool:
@@ -595,5 +595,5 @@ def rebuilt_index(graph_or_cache, e: tuple[int, int]) -> float:
         raise ValueError(f"rebuilt_index takes one edge (u, v), got {e!r}")
     n = cache.graph.n
     b = np.eye(n)[u] - np.eye(n)[v]
-    pinv = _spd_inverse(cholesky(cache.laplacian + np.outer(b, b) + 1.0 / n)) - 1.0 / n
+    pinv = _spd_inverse(cache.laplacian + np.outer(b, b) + 1.0 / n)[1] - 1.0 / n
     return n * float(np.sum(pinv * pinv))

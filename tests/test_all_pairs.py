@@ -1,6 +1,7 @@
 """All-pairs rows of the four routes against the per-pair formulas they replace
 (the det route's rows, read from one grounded inverse of L^2, against a
-determinant per pair, up to n = 200), the closed-form index drop against a
+determinant per pair, and the min-norm route's rows against a solve per pair,
+up to n = 200), the closed-form index drop against a
 Cholesky rebuild of G + e, and a Cholesky breakdown on one minor of L^2 in
 the matrix-tree check."""
 
@@ -19,6 +20,7 @@ from biharmonic import (
     bounds_report,
     build_cache,
     check_edge_monotonicity,
+    complete_graph,
     cycle_graph,
     path_graph,
     read_edge_list,
@@ -141,6 +143,19 @@ def test_determinant_rows_match_numpy_at_200(g):
         expected = pair_determinants(cache, u, vs)
         row = biharmonic_determinant(cache, u, vs)
         assert np.all(np.abs(row - expected) <= LONG_ROW_AGREEMENT * expected), u
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(200), cycle_graph(200), complete_graph(150)], ids=["P200", "C200", "K150"]
+)
+def test_minnorm_rows_match_numpy_at_large_n(g):
+    cache = SpectralCache(g)
+    n = g.n
+    for u in (0, n // 2, n - 2):
+        vs = np.delete(np.arange(n), u)
+        expected = pair_minnorms(cache, u, vs)
+        row = biharmonic_minnorm(cache, u, vs)
+        assert np.all(np.abs(row - expected) <= ROW_AGREEMENT * expected), u
 
 
 def test_determinant_row_reads_zero_at_its_own_vertex():

@@ -27,8 +27,8 @@ from biharmonic.linalg import (
     cholesky,
     cholesky_log_det,
     cholesky_solve,
-    triangular_inverse,
 )
+from biharmonic.metrics import _spd_inverse
 
 GOLDEN = Path(__file__).parent / "golden"
 EPS = np.finfo(float).eps
@@ -108,6 +108,24 @@ class TestJacobi:
         assert solved.n == 0 and solved.eigenspace_groups == ()
         assert (solved.iterations, solved.rotations, solved.off_diagonal) == (0, 0, 0.0)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.full((4, 4), 1.54370148e-161),
+            path_graph(30).laplacian() * 1e300,
+            np.full((4, 4), 1e-310),
+        ],
+        ids=["tiny", "huge", "subnormal"],
+    )
+    def test_extreme_scales_match_numpy(self, a):
+        # tred2's squared column norms would under- or overflow here without
+        # the power-of-two scaling; warnings are errors under pytest.
+        solved = jacobi_eigh(a)
+        w, v = solved.eigenvalues, solved.eigenvectors
+        expected = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(w - expected)) <= 1e-9 * np.max(np.abs(expected))
+        assert np.max(np.abs(v.T @ v - np.eye(len(a)))) <= 1e-10
+
     @settings(max_examples=30, deadline=None)
     @given(
         arrays(
@@ -185,14 +203,41 @@ class TestSpdSolve:
         assert np.allclose(a @ cholesky_solve(low, b), b, atol=1e-10)
 
 
-class TestTriangularInverse:
+def spd_matrix(n):
+    b_mat = np.random.default_rng(n).normal(size=(n, n))
+    return b_mat.T @ b_mat + np.eye(n)
+
+
+class TestTallCholesky:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
-    def test_inverse_of_cholesky_factor(self, n):
-        b_mat = np.random.default_rng(n).normal(size=(n, n))
-        low = cholesky(b_mat.T @ b_mat + np.eye(n))
-        inv = triangular_inverse(low)
-        assert np.array_equal(inv, np.tril(inv))
-        assert np.allclose(inv @ low, np.eye(n), atol=1e-12)
+    def test_factor_over_its_inverse(self, n):
+        # The column loop carried down I stacked under a returns R over R^-T.
+        a = spd_matrix(n)
+        tall = cholesky(np.vstack([a, np.eye(n)]))
+        low, x = tall[:n], tall[n:]
+        assert tall.shape == (2 * n, n)
+        assert np.array_equal(x, np.triu(x))
+        assert np.max(np.abs(x.T @ low - np.eye(n)), initial=0.0) <= 1e-12
+        # Not bit for bit: the matvec of each column runs over more rows.
+        assert np.max(np.abs(low - cholesky(a)), initial=0.0) <= 1e-12
+
+    def test_wide_input_rejected(self):
+        with pytest.raises(ValueError, match="square or tall"):
+            cholesky(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square or tall"):
+            cholesky(np.ones(3))
+
+    def test_not_positive_definite_with_identity_below(self):
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            cholesky(np.vstack([[[1.0, 2.0], [2.0, 1.0]], np.eye(2)]))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+    def test_spd_inverse(self, n):
+        a = spd_matrix(n)
+        log_det, inverse = _spd_inverse(a)
+        assert np.array_equal(inverse, inverse.T)
+        assert np.max(np.abs(a @ inverse - np.eye(n)), initial=0.0) <= 1e-12
+        assert abs(log_det - cholesky_log_det(cholesky(a))) <= 1e-13
 
 
 class TestPrincipalMinorDet:

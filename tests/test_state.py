@@ -65,11 +65,6 @@ def cholesky_calls(monkeypatch):
     return record_shapes(monkeypatch, "cholesky")
 
 
-@pytest.fixture
-def inverse_calls(monkeypatch):
-    return record_shapes(monkeypatch, "triangular_inverse")
-
-
 @pytest.mark.parametrize("method", ["det", "minnorm"])
 def test_cli_dist_without_eigensolver(tmp_path, capsys, jacobi_calls, method):
     path = tmp_path / "w6.g"
@@ -147,20 +142,19 @@ def test_rebuilt_index_without_eigensolver(jacobi_calls, monkeypatch, g):
 
 
 @pytest.mark.parametrize("g", VERIFY_GRAPHS, ids=VERIFY_IDS)
-def test_verify_factorization_count(cholesky_calls, inverse_calls, g):
-    # The n minors of L^2 for the matrix-tree check, M_0 = L^2 without row
-    # and column 0 for the det route, the tree-count minor of L, and L + J/n
-    # for the min-norm route; with a nonedge, also L(G+e) + J/n for the
+def test_verify_factorization_count(cholesky_calls, g):
+    # The n minors of L^2 for the matrix-tree check and the tree-count minor
+    # of L stop at their log determinants. The inverses are factored stacked
+    # over I: M_0 = L^2 without row and column 0 for the det route, L + J/n
+    # for the min-norm route and, with a nonedge, L(G+e) + J/n for the
     # rebuild of the first addition.
     verify_graph(g)
     n = g.n
     rebuilt = 1 if g.nonedges() else 0
     assert len(cholesky_calls) == n + 3 + rebuilt
-    assert cholesky_calls.count((n, n)) == 1 + rebuilt
-    # Only the det route's M_0 and L + J/n (and L(G+e) + J/n) are inverted;
-    # the matrix-tree check stops at the log determinants.
-    sizes = sorted(shape[0] for shape in inverse_calls)
-    assert sizes == [n - 1] + [n] * (1 + rebuilt)
+    assert cholesky_calls.count((n - 1, n - 1)) == n + 1
+    assert cholesky_calls.count((2 * n - 2, n - 1)) == 1
+    assert cholesky_calls.count((2 * n, n)) == 1 + rebuilt
 
 
 def test_pair_reads_factor_once_per_row(cholesky_calls):
